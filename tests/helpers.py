@@ -4,8 +4,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from tglink.events import EventStream
+from tglink.events import EventStream, GeneratorSpec
 from tglink.model import MemoryStore, ModelConfig, NeighborCache, RunState, TgnModel
+from tglink.transfer import ExperimentConfig, TrainConfig
+
+# The desk-scale transfer benchmark: two planted communities of 50 nodes,
+# ~3000 intra-community events each after the Louvain split.
+BENCHMARK_SEEDS = [1, 2, 3, 4, 5]
+BENCHMARK = ExperimentConfig(
+    generator=GeneratorSpec(
+        num_communities=2,
+        nodes_per_community=50,
+        num_events=6600,
+        p_in=0.9,
+        p_out=0.1,
+        pref_attach=1.0,
+        time_span=1000.0,
+    ),
+    model=ModelConfig(
+        d_m=16,
+        d_t=8,
+        d_att=16,
+        d_n=16,
+        message_hidden=(32,),
+        decoder_hidden=(32,),
+        num_neighbors=2,
+        structmap_hidden=64,
+        alpha=1.0,
+        window_fraction=0.01,
+    ),
+    train=TrainConfig(batch_size=50, lr=3e-3, epochs=5, train_negatives=3),
+    eval_negatives=20,
+    finetune_lr=3e-4,
+    allow_two_way=True,
+)
 
 TINY_CONFIG = ModelConfig(
     d_m=4,

@@ -40,17 +40,15 @@ from tglink.rngs import child_rng
 from tglink.splitting import louvain, make_transfer_split, modularity
 from tglink.structmap import StructMapParams, structmap_loss, structmap_loss_backward
 from tglink.transfer import (
-    ExperimentConfig,
     TrainConfig,
     TransferScenario,
     compute_ranking_metrics,
     fit,
     run_experiment,
     run_transfer,
-    seed_sweep,
 )
 
-from helpers import copy_state, fresh_state, random_stream, tiny_model
+from helpers import BENCHMARK, BENCHMARK_SEEDS, copy_state, fresh_state, random_stream, tiny_model
 from oracles import (
     betweenness_oracle,
     closeness_oracle,
@@ -61,47 +59,8 @@ from oracles import (
     rwpe_oracle,
 )
 
-# The desk-scale transfer benchmark: two planted communities of 50 nodes,
-# ~3000 intra-community events each after the Louvain split.
-BENCHMARK_SEEDS = [1, 2, 3, 4, 5]
-BENCHMARK = ExperimentConfig(
-    generator=GeneratorSpec(
-        num_communities=2,
-        nodes_per_community=50,
-        num_events=6600,
-        p_in=0.9,
-        p_out=0.1,
-        pref_attach=1.0,
-        time_span=1000.0,
-    ),
-    model=ModelConfig(
-        d_m=16,
-        d_t=8,
-        d_att=16,
-        d_n=16,
-        message_hidden=(32,),
-        decoder_hidden=(32,),
-        num_neighbors=2,
-        structmap_hidden=64,
-        alpha=1.0,
-        window_fraction=0.01,
-    ),
-    train=TrainConfig(batch_size=50, lr=3e-3, epochs=5, train_negatives=3),
-    eval_negatives=20,
-    finetune_lr=3e-4,
-    allow_two_way=True,
-)
-
-
 def report(criterion: int, label: str) -> None:
     print(f"\n[ACCEPTANCE] criterion {criterion} ({label}): PASS")
-
-
-@pytest.fixture(scope="module")
-def benchmark_sweep():
-    t0 = time.perf_counter()
-    sweep = seed_sweep(BENCHMARK, BENCHMARK_SEEDS)
-    return sweep, time.perf_counter() - t0
 
 
 class TestCriterion1Gradients:

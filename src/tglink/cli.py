@@ -24,8 +24,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, load_config_file
 from .errors import DivergenceError, TglinkError
 from .events import EventStream, generate_synthetic, load_csv, make_batches, write_csv
-from .features import correlate_distances, feature_names, structural_feature_matrix
-from .graphs import aggregate_static, aggregate_window
+from .features import WindowFeatures, correlate_distances, feature_names, structural_feature_matrix
+from .graphs import aggregate_static
 from .model import count_parameters
 from .rngs import child_rng
 from .splitting import louvain, make_transfer_split
@@ -158,11 +158,12 @@ def _cmd_features(args) -> int:
     stream = _load_stream(args.input, cfg)
     span = max(stream.time_span, 1e-12)
     names = list(feature_names(cfg.d_p))
+    features = WindowFeatures(stream, cfg.window_fraction, span, cfg.d_p)
     rows: list[list] = []
     for bi, batch in enumerate(make_batches(stream, cfg.batch_size)):
-        wg = aggregate_window(stream, batch.batch_start_time, cfg.window_fraction, span)
+        # One row per batch endpoint, on the window ending at the batch start.
         nodes = sorted(set(batch.src.tolist()) | set(batch.dst.tolist()))
-        _, mat = structural_feature_matrix(wg, cfg.d_p, nodes)
+        mat = features.rows(batch.batch_start_time, nodes)
         for node, vec in zip(nodes, mat):
             rows.append([bi, node] + [float(x) for x in vec])
     _write_csv_rows(Path(args.out), ["batch", "node"] + names, rows, cfg.content_hash())

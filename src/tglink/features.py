@@ -11,13 +11,12 @@ graphs are routinely disconnected.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, CorrelationUndefinedError, ValidationError
-from .graphs import Graph
+from .graphs import Graph, aggregate_window
 
 TOPOLOGY_FEATURES = ("degree", "betweenness", "closeness", "clustering")
 SIGMA_FLOOR = 1e-8
@@ -42,53 +41,49 @@ class StructuralFeatureVector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
-def _brandes_and_distances(
-    adj: list[list[int]],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Betweenness for all nodes plus per-source BFS distance arrays."""
+def _betweenness_closeness(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Brandes betweenness and Wasserman-Faust closeness from one BFS per source.
+
+    Closeness is ((r-1)/(n-1)) * ((r-1)/sum of distances) over the r nodes a
+    source reaches, read from the source's BFS as it finishes. Plain Python
+    lists and floats: the same IEEE operations in the same order as the
+    numpy-array formulation (kept in tests/oracles.py), several times faster.
+    """
     n = len(adj)
-    betweenness = np.zeros(n)
-    dists: list[np.ndarray] = []
+    betweenness = [0.0] * n
+    closeness = [0.0] * n
     for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
+        dist = [-1] * n
+        sigma = [0.0] * n
         preds: list[list[int]] = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1.0
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        order = [s]
+        total = 0
+        # `order` is the BFS queue: the loop also visits what it appends.
+        for v in order:
+            d_next = dist[v] + 1
+            sigma_v = sigma[v]
             for w in adj[v]:
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
+                    dist[w] = d_next
+                    total += d_next
+                    order.append(w)
+                if dist[w] == d_next:
+                    sigma[w] += sigma_v
                     preds[w].append(v)
-        delta = np.zeros(n)
+        r = len(order)
+        if r > 1:
+            closeness[s] = ((r - 1) / (n - 1)) * ((r - 1) / float(total))
+        delta = [0.0] * n
         for w in reversed(order):
+            sigma_w = sigma[w]
+            coeff = 1.0 + delta[w]
             for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+                delta[v] += sigma[v] / sigma_w * coeff
             if w != s:
                 betweenness[w] += delta[w]
-        dists.append(dist)
-    return betweenness / 2.0, dists
-
-
-def _closeness(dists: list[np.ndarray], n: int) -> np.ndarray:
-    """Wasserman-Faust closeness: ((r-1)/(n-1)) * ((r-1)/sum of distances)."""
-    out = np.zeros(n)
-    if n <= 1:
-        return out
-    for u in range(n):
-        reach = dists[u] >= 0
-        r = int(reach.sum())
-        total = float(dists[u][reach].sum())
-        if r > 1 and total > 0:
-            out[u] = ((r - 1) / (n - 1)) * ((r - 1) / total)
-    return out
+    return np.array(betweenness) / 2.0, np.array(closeness)
 
 
 def _clustering(adj_sets: list[set[int]]) -> np.ndarray:
@@ -138,8 +133,7 @@ def structural_feature_matrix(
     adj = [[index[v] for v in g.neighbors(u)] for u in present]
     adj_sets = [set(a) for a in adj]
 
-    betweenness, dists = _brandes_and_distances(adj)
-    closeness = _closeness(dists, len(present))
+    betweenness, closeness = _betweenness_closeness(adj)
     clustering = _clustering(adj_sets)
     rwpe = _rwpe(adj, d_p)
     degree = np.array([len(a) for a in adj], dtype=np.float64)
@@ -159,8 +153,63 @@ def structural_feature_matrix(
     return list(nodes), mat
 
 
+class WindowFeatures:
+    """Raw feature rows on the trailing windows of one stream: the one engine.
+
+    The window ending at `t_end` is `aggregate_window(stream, t_end,
+    window_fraction, train_span)`. Its full matrix, one row per node present,
+    comes from one `structural_feature_matrix` call and is kept until rows of
+    a window with another end are asked for. Rows of absent nodes are zero.
+    Selecting rows from the full matrix equals asking
+    `structural_feature_matrix` for them bit for bit, since it computes every
+    present node either way.
+    """
+
+    def __init__(self, stream, window_fraction: float, train_span: float, d_p: int):
+        self.stream = stream
+        self.window_fraction = window_fraction
+        self.train_span = train_span
+        self.d_p = d_p
+        self._t_end: float | None = None
+        self._index: dict[int, int] = {}
+        self._matrix = np.zeros((0, feature_dim(d_p)))
+
+    def _load(self, t_end: float) -> None:
+        if t_end == self._t_end:
+            return
+        g = aggregate_window(self.stream, t_end, self.window_fraction, self.train_span)
+        present, self._matrix = structural_feature_matrix(g, self.d_p)
+        self._index = {u: i for i, u in enumerate(present)}
+        self._t_end = t_end
+
+    def rows(self, t_end: float, nodes: list[int]) -> np.ndarray:
+        """Raw rows of `nodes` on the window ending at `t_end`."""
+        self._load(t_end)
+        at = np.array([self._index.get(u, -1) for u in nodes], dtype=np.int64)
+        present = at >= 0
+        out = np.zeros((len(nodes), self._matrix.shape[1]))
+        out[present] = self._matrix[at[present]]
+        return out
+
+    def batch_rows(self, batch) -> tuple[list[int], np.ndarray]:
+        """Regression rows of a batch on the window ending at its start.
+
+        The rows cover every node of the window plus the batch endpoints
+        (zero rows when absent), so the structural map sees the whole
+        activity spectrum it must cover at cold-start time.
+        """
+        t_end = batch.batch_start_time
+        self._load(t_end)
+        nodes = sorted(self._index.keys() | set(batch.src.tolist()) | set(batch.dst.tolist()))
+        return nodes, self.rows(t_end, nodes)
+
+
 def node_features(g: Graph, v: int, d_p: int = 4) -> StructuralFeatureVector:
-    """Raw feature vector for one node (zero vector if absent from g)."""
+    """Raw feature vector for one node (zero vector if absent from g).
+
+    Nothing in tglink calls this; `WindowFeatures` serves every caller. It
+    stays because the benchmark's tracer (perfbench/tracing.py) binds it.
+    """
     _, mat = structural_feature_matrix(g, d_p, nodes=[v])
     return StructuralFeatureVector(mat[0], standardized=False)
 
@@ -181,13 +230,15 @@ class FeatureStandardizer:
             raise ValidationError("standardizer fit needs a matrix with >= 2 rows")
         return cls(features.mean(axis=0), features.std(axis=0))
 
-    def apply(self, raw: np.ndarray) -> np.ndarray:
+    def apply(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(raw - mean) / sigma; `out=raw` standardizes a float64 array in place."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape[-1] != self.mean.shape[0]:
             raise ValidationError(
                 f"feature dim {raw.shape[-1]} != standardizer dim {self.mean.shape[0]}"
             )
-        return (raw - self.mean) / self.sigma
+        out = np.subtract(raw, self.mean, out=out)
+        return np.divide(out, self.sigma, out=out)
 
     def apply_vector(self, fv: StructuralFeatureVector) -> StructuralFeatureVector:
         if fv.standardized:

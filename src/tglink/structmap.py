@@ -18,13 +18,7 @@ import logging
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .features import (
-    FeatureStandardizer,
-    StructuralFeatureVector,
-    node_features,
-    structural_feature_matrix,
-)
-from .graphs import Graph, aggregate_window
+from .features import FeatureStandardizer, StructuralFeatureVector, WindowFeatures
 from .nn import Mlp, MlpSpec, Tensor
 
 log = logging.getLogger(__name__)
@@ -122,47 +116,42 @@ def structmap_loss_backward(
     return -dpred
 
 
+BatchRows = dict[tuple[int, int], tuple[list[int], np.ndarray]]
+
+
 class StructMapTrainer:
     """Per-batch regression bookkeeping used inside the training loop.
 
-    For each batch it standardizes the window features of the batch's event
-    endpoints and regresses them onto those nodes' current memory rows.
-    Feature rows are cached per batch slice since they do not depend on
-    parameters.
+    For each batch it standardizes the window rows of the batch (window nodes
+    plus endpoints, see `WindowFeatures.batch_rows`) and regresses them onto
+    those nodes' current memory rows. Feature rows do not depend on
+    parameters, so each batch's rows are computed once per fit: the trainer
+    takes `rows` as `fit_window_standardizer` returns them, standardizes them
+    in place and reuses them in every epoch. A batch missing from them is
+    computed on first use and kept. One copy of each batch's rows is held.
     """
 
     def __init__(
         self,
         params: StructMapParams,
         standardizer: FeatureStandardizer,
-        stream,
-        window_fraction: float,
-        train_span: float,
-        d_p: int,
+        features: WindowFeatures,
+        rows: BatchRows,
         coupled: bool = False,
     ):
         self.params = params
         self.standardizer = standardizer
-        self.stream = stream
-        self.window_fraction = window_fraction
-        self.train_span = train_span
-        self.d_p = d_p
+        self.features = features
         self.coupled = coupled
-        self._feature_cache: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
+        self._feature_cache = rows
+        for _, raw in rows.values():
+            standardizer.apply(raw, out=raw)
 
     def batch_features(self, batch) -> tuple[list[int], np.ndarray]:
         key = (batch.start, batch.stop)
         if key not in self._feature_cache:
-            wg = aggregate_window(
-                self.stream, batch.batch_start_time, self.window_fraction, self.train_span
-            )
-            # regression rows are every node of the aggregated window graph,
-            # plus the batch endpoints themselves (zero rows when absent), so
-            # the map sees the whole activity spectrum it must cover at
-            # cold-start time
-            nodes = sorted(set(wg.nodes()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
-            _, raw = structural_feature_matrix(wg, self.d_p, nodes)
-            self._feature_cache[key] = (nodes, self.standardizer.apply(raw))
+            nodes, raw = self.features.batch_rows(batch)
+            self._feature_cache[key] = (nodes, self.standardizer.apply(raw, out=raw))
         return self._feature_cache[key]
 
     def loss_for_batch(self, batch, state) -> tuple[float, tuple, list[int]]:
@@ -179,40 +168,39 @@ class StructMapTrainer:
             p.zero_grad()
 
 
-def fit_window_standardizer(
-    stream, batches, window_fraction: float, train_span: float, d_p: int
-) -> FeatureStandardizer:
-    """Fit feature statistics over every batch's window-graph features."""
-    rows = []
-    for batch in batches:
-        wg = aggregate_window(stream, batch.batch_start_time, window_fraction, train_span)
-        nodes = sorted(set(wg.nodes()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
-        _, raw = structural_feature_matrix(wg, d_p, nodes)
-        rows.append(raw)
-    if not rows:
+def fit_window_standardizer(features: WindowFeatures, batches) -> tuple[FeatureStandardizer, BatchRows]:
+    """Fit feature statistics over every batch's window rows.
+
+    Returns the raw rows too, keyed by batch slice, for `StructMapTrainer`
+    to reuse instead of computing them again.
+    """
+    per_batch = [features.batch_rows(batch) for batch in batches]
+    if not per_batch:
         raise ValidationError("cannot fit a standardizer on an empty stream")
-    return FeatureStandardizer.fit(np.concatenate(rows, axis=0))
+    standardizer = FeatureStandardizer.fit(np.concatenate([raw for _, raw in per_batch], axis=0))
+    rows = {(batch.start, batch.stop): nodes_raw for batch, nodes_raw in zip(batches, per_batch)}
+    return standardizer, rows
 
 
 def cold_start(
     store,
     node: int,
-    g: Graph,
+    raw: np.ndarray,
     t: float,
     standardizer: FeatureStandardizer,
     sm_params: StructMapParams,
-    d_p: int = 4,
 ) -> bool:
-    """Initialize one never-seen node's memory row from window features.
+    """Initialize one never-seen node's memory row from its raw window features.
 
+    The structural map runs on this one row: a one-row product is not bitwise
+    equal to the same row inside a stacked one, so rows are not batched.
     Idempotent: a node that already has state is left alone (audit-logged).
     Returns True when the row was written.
     """
     if store.seen(node):
         log.info("cold_start skipped: node %d already initialized", node)
         return False
-    raw = node_features(g, node, d_p)
-    std = standardizer.apply_vector(raw)
+    std = standardizer.apply_vector(StructuralFeatureVector(raw))
     store.memory[node] = structmap_forward(sm_params, std)
     store.last_update[node] = t
     return True

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError, ValidationError
 from .events import EventBatch, EventStream, GeneratorSpec, generate_synthetic, make_batches, sample_negatives
-from .graphs import aggregate_static, aggregate_window
-from .features import FeatureStandardizer, structural_feature_matrix
+from .graphs import aggregate_static
+from .features import FeatureStandardizer, WindowFeatures
 from .model import (
     MemoryStore,
     ModelConfig,
@@ -196,12 +196,26 @@ def _draw_eval_negatives(
     return sample_negatives(whole, stream.num_nodes, k, rng)
 
 
+@dataclass(frozen=True)
+class StructMapDeployment:
+    """What the structural_mapping scenario adds to a streaming evaluation.
+
+    Each node is cold-started from its window features just before its first
+    event enters the memory, and every batch logs the structural regression
+    loss (weighted by `alpha`). Both read `features`, which computes each
+    batch window once for the two.
+    """
+
+    params: StructMapParams
+    standardizer: FeatureStandardizer
+    alpha: float
+    features: WindowFeatures
+
+
 def _cold_start_pending(
-    model: TgnModel,
-    stream: EventStream,
     state: RunState,
     window_end: float,
-    ctx: tuple[StructMapParams, FeatureStandardizer, float, float],
+    structmap: StructMapDeployment,
     record: MetricsRecord,
 ) -> None:
     """Initialize never-seen nodes of the pending batch before it is applied.
@@ -214,7 +228,6 @@ def _cold_start_pending(
     """
     if state.pending is None:
         return
-    sm, scaler, w, span = ctx
     pending = state.pending
     first_seen: dict[int, float] = {}
     for i in range(pending.start, pending.stop):
@@ -224,9 +237,10 @@ def _cold_start_pending(
                 first_seen[n] = t
     if not first_seen:
         return
-    wg = aggregate_window(stream, window_end, w, span)
-    for n in sorted(first_seen):
-        if cold_start(state.store, n, wg, first_seen[n], scaler, sm, model.config.d_p):
+    nodes = sorted(first_seen)
+    raw = structmap.features.rows(window_end, nodes)
+    for n, row in zip(nodes, raw):
+        if cold_start(state.store, n, row, first_seen[n], structmap.standardizer, structmap.params):
             record.cold_starts += 1
 
 
@@ -238,23 +252,18 @@ def evaluate_stream(
     negatives: np.ndarray,
     ks: tuple[int, ...],
     record: MetricsRecord,
-    structmap_eval: tuple[StructMapParams, FeatureStandardizer, float, float, float] | None = None,
-    cold_start_ctx: tuple[StructMapParams, FeatureStandardizer, float, float] | None = None,
+    structmap: StructMapDeployment | None = None,
 ) -> None:
     """Stream batches without gradients, appending metrics to `record`.
 
-    `structmap_eval` = (params, standardizer, alpha, window_fraction, span)
-    turns on per-batch structural-regression loss logging;
-    `cold_start_ctx` = (params, standardizer, window_fraction, span) enables
-    cold-start memory initialization of newly appearing nodes.
+    `structmap` turns on cold starts of newly appearing nodes and per-batch
+    structural-regression loss logging.
     """
     all_pos: list[np.ndarray] = []
     all_neg: list[np.ndarray] = []
     for batch in batches:
-        if cold_start_ctx is not None:
-            _cold_start_pending(
-                model, stream, state, batch.batch_start_time, cold_start_ctx, record
-            )
+        if structmap is not None:
+            _cold_start_pending(state, batch.batch_start_time, structmap, record)
         model.flush_pending(state)
         negs = negatives[batch.start : batch.stop]
         fwd = forward_batch(model, batch, negs, state)
@@ -268,13 +277,14 @@ def evaluate_stream(
             raise DivergenceError("non-finite evaluation loss", batch_index=len(record.batch_tlp_loss))
         sm_loss = 0.0
         total = batch_loss
-        if structmap_eval is not None:
-            sm, scaler, alpha, w, span = structmap_eval
-            wg = aggregate_window(stream, batch.batch_start_time, w, span)
-            nodes = sorted(set(wg.nodes()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
-            _, raw = structural_feature_matrix(wg, model.config.d_p, nodes)
-            sm_loss, _ = structmap_loss(sm, scaler.apply(raw), state.store.memory[np.array(nodes)])
-            total = batch_loss + alpha * sm_loss
+        if structmap is not None:
+            nodes, raw = structmap.features.batch_rows(batch)
+            sm_loss, _ = structmap_loss(
+                structmap.params,
+                structmap.standardizer.apply(raw, out=raw),
+                state.store.memory[np.array(nodes)],
+            )
+            total = batch_loss + structmap.alpha * sm_loss
         record.batch_tlp_loss.append(float(batch_loss))
         record.batch_structmap_loss.append(float(sm_loss))
         record.batch_total_loss.append(float(total))
@@ -282,14 +292,9 @@ def evaluate_stream(
         all_neg.append(fwd.neg_probs)
         state.pending = batch
         state.cache.insert_batch(batch)
-    if cold_start_ctx is not None and state.pending is not None:
+    if structmap is not None and state.pending is not None:
         _cold_start_pending(
-            model,
-            stream,
-            state,
-            np.nextafter(state.pending.batch_end_time, np.inf),
-            cold_start_ctx,
-            record,
+            state, np.nextafter(state.pending.batch_end_time, np.inf), structmap, record
         )
     model.flush_pending(state)
     if all_pos:
@@ -326,9 +331,10 @@ def fit(
     sm_trainer = None
     batches = make_batches(train_stream, train_config.batch_size)
     if model_config.use_structmap:
-        standardizer = fit_window_standardizer(
-            train_stream, batches, model_config.window_fraction, span, model_config.d_p
+        features = WindowFeatures(
+            train_stream, model_config.window_fraction, span, model_config.d_p
         )
+        standardizer, rows = fit_window_standardizer(features, batches)
         structmap = StructMapParams(
             model_config.d_s,
             model_config.d_m,
@@ -337,13 +343,7 @@ def fit(
             child_rng(seed, "structmap-init"),
         )
         sm_trainer = StructMapTrainer(
-            structmap,
-            standardizer,
-            train_stream,
-            model_config.window_fraction,
-            span,
-            model_config.d_p,
-            coupled=model_config.coupled_structmap,
+            structmap, standardizer, features, rows, coupled=model_config.coupled_structmap
         )
 
     params = model.parameters() + (structmap.parameters() if structmap else [])
@@ -501,14 +501,17 @@ def run_transfer(
                 "structural_mapping scenario requires a model trained with the structural map"
             )
 
-    structmap_eval = None
-    cold_start_ctx = None
+    deployment = None
     if scenario.kind == "structural_mapping":
         alpha = scenario.alpha if scenario.alpha is not None else structmap.alpha
         w = scenario.window_fraction or trained.config.window_fraction
         record.alpha = alpha
-        structmap_eval = (structmap, trained.standardizer, alpha, w, trained.train_span)
-        cold_start_ctx = (structmap, trained.standardizer, w, trained.train_span)
+        deployment = StructMapDeployment(
+            structmap,
+            trained.standardizer,
+            alpha,
+            WindowFeatures(test_stream, w, trained.train_span, trained.config.d_p),
+        )
 
     eval_batches = [
         EventBatch(test_stream, lo, min(lo + batch_size, n_events))
@@ -521,8 +524,11 @@ def run_transfer(
         float(test_stream.timestamps[eval_start]),
         float(test_stream.timestamps[-1]),
     )
-    if record.finetune_cutoff_time is not None:
-        assert record.eval_event_range[0] >= record.finetune_event_range[1]
+    if record.eval_event_range[0] < record.finetune_event_range[1]:
+        raise ContractError(
+            f"evaluation starts at event {record.eval_event_range[0]}, inside the "
+            f"fine-tuning range ending at {record.finetune_event_range[1]}"
+        )
     evaluate_stream(
         model,
         test_stream,
@@ -531,8 +537,7 @@ def run_transfer(
         negatives,
         ks,
         record,
-        structmap_eval=structmap_eval,
-        cold_start_ctx=cold_start_ctx,
+        structmap=deployment,
     )
     record.wall_clock_seconds = time.perf_counter() - t_start
     return record

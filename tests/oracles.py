@@ -3,12 +3,14 @@
 Everything here deliberately avoids the package's algorithms: shortest paths
 are enumerated by DFS over Floyd-Warshall distances, walks are enumerated
 recursively, partitions exhaustively, and ranks by pairwise counting. Slow,
-but trustworthy on small inputs.
+but trustworthy on small inputs. The exception is a former implementation
+kept as the bitwise reference for a faster port of it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -60,6 +62,57 @@ def _all_shortest_paths(adj: list[list[int]], dist: np.ndarray, s: int, t: int) 
 
     walk(s, [s])
     return paths
+
+
+# The numpy-array Brandes sweep and closeness that tglink.features used before
+# its list port, kept verbatim: the port must match them bit for bit.
+def _brandes_and_distances(
+    adj: list[list[int]],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Betweenness for all nodes plus per-source BFS distance arrays."""
+    n = len(adj)
+    betweenness = np.zeros(n)
+    dists: list[np.ndarray] = []
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        order: list[int] = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(n)
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                betweenness[w] += delta[w]
+        dists.append(dist)
+    return betweenness / 2.0, dists
+
+
+def _closeness(dists: list[np.ndarray], n: int) -> np.ndarray:
+    """Wasserman-Faust closeness: ((r-1)/(n-1)) * ((r-1)/sum of distances)."""
+    out = np.zeros(n)
+    if n <= 1:
+        return out
+    for u in range(n):
+        reach = dists[u] >= 0
+        r = int(reach.sum())
+        total = float(dists[u][reach].sum())
+        if r > 1 and total > 0:
+            out[u] = ((r - 1) / (n - 1)) * ((r - 1) / total)
+    return out
 
 
 def betweenness_oracle(g: Graph) -> dict[int, float]:

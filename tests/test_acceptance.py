@@ -426,6 +426,7 @@ class TestCriterion7ScenarioDegeneracies:
     def test_alpha_zero_bitwise(self):
         from tglink.nn import Adam
         from tglink.model import train_epoch
+        from tglink.features import WindowFeatures
         from tglink.structmap import StructMapTrainer, fit_window_standardizer
 
         def run(with_sm: bool):
@@ -435,11 +436,10 @@ class TestCriterion7ScenarioDegeneracies:
             trainer = None
             params = model.parameters()
             if with_sm:
-                scaler = fit_window_standardizer(
-                    stream, make_batches(stream, 15), 0.25, 20.0, model.config.d_p
-                )
+                features = WindowFeatures(stream, 0.25, 20.0, model.config.d_p)
+                scaler, rows = fit_window_standardizer(features, make_batches(stream, 15))
                 sm = StructMapParams(model.config.d_s, model.config.d_m, 5, 0.0, np.random.default_rng(99))
-                trainer = StructMapTrainer(sm, scaler, stream, 0.25, 20.0, model.config.d_p)
+                trainer = StructMapTrainer(sm, scaler, features, rows)
                 params = params + sm.parameters()
             opt = Adam(params, lr=1e-2)
             state = fresh_state(model, 8)

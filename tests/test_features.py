@@ -9,6 +9,9 @@ from tglink.errors import ContractError, CorrelationUndefinedError, ValidationEr
 from tglink.events import GeneratorSpec, generate_synthetic
 from tglink.features import (
     FeatureStandardizer,
+    _betweenness_closeness,
+    _clustering,
+    _rwpe,
     average_ranks,
     correlate_distances,
     node_features,
@@ -17,6 +20,8 @@ from tglink.features import (
 from tglink.graphs import Graph, aggregate_static, aggregate_window
 
 from oracles import (
+    _brandes_and_distances,
+    _closeness,
     betweenness_oracle,
     clustering_oracle,
     closeness_oracle,
@@ -149,6 +154,66 @@ class TestNodeFeatures:
                 a = node_features(g, u, d_p=4).values
                 b = node_features(h, int(perm[u]), d_p=4).values
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+@st.composite
+def shaped_graphs(draw) -> Graph:
+    """Stars, paths, trees, matchings (isolated edges) and random graphs.
+
+    Node labels are a random permutation, so a hub or a leaf's parent may
+    have any index, and up to three isolated nodes are added. Sizes 0 and 1
+    give the empty and the one-node graph.
+    """
+    kind = draw(st.sampled_from(["star", "path", "tree", "matching", "random"]))
+    # Random graphs go larger: their path counts make the float order matter.
+    n = draw(st.integers(0, 30 if kind == "random" else 12))
+    if kind == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "path":
+        edges = [(v, v + 1) for v in range(n - 1)]
+    elif kind == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    elif kind == "matching":
+        edges = [(v, v + 1) for v in range(0, n - 1, 2)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = draw(st.floats(0.05, 0.5))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    isolated = draw(st.integers(0, 3))
+    label = draw(st.permutations(range(n + isolated)))
+    g = Graph()
+    for v in range(n + isolated):
+        g.add_node(label[v])
+    for u, v in edges:
+        g.add_edge(label[u], label[v])
+    return g
+
+
+class TestBrandesListPort:
+    """The list sweep equals the numpy-array Brandes it replaced, bit for bit."""
+
+    @given(shaped_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_against_array_sweep(self, g):
+        present = g.nodes()
+        index = {u: i for i, u in enumerate(present)}
+        adj = [[index[v] for v in g.neighbors(u)] for u in present]
+        ref_bc, dists = _brandes_and_distances(adj)
+        ref_cc = _closeness(dists, len(adj))
+        bc, cc = _betweenness_closeness(adj)
+        assert np.array_equal(bc, ref_bc)
+        assert np.array_equal(cc, ref_cc)
+
+        d_p = 3
+        ref = np.zeros((len(adj), 4 + d_p))
+        ref[:, 0] = [len(a) for a in adj]
+        ref[:, 1] = ref_bc
+        ref[:, 2] = ref_cc
+        ref[:, 3] = _clustering([set(a) for a in adj])
+        ref[:, 4:] = _rwpe(adj, d_p)
+        nodes, mat = structural_feature_matrix(g, d_p)
+        assert nodes == present
+        assert np.array_equal(mat, ref)
 
 
 class TestStandardizer:

@@ -5,7 +5,12 @@ import pytest
 
 from tglink.errors import ContractError, ValidationError
 from tglink.events import make_batches
-from tglink.features import FeatureStandardizer, StructuralFeatureVector
+from tglink.features import (
+    FeatureStandardizer,
+    StructuralFeatureVector,
+    WindowFeatures,
+    structural_feature_matrix,
+)
 from tglink.graphs import Graph, aggregate_window
 from tglink.model import MemoryStore, train_epoch
 from tglink.nn import Adam, grad_check
@@ -30,6 +35,11 @@ def make_params(alpha=1.0, seed=0):
 
 def identity_scaler():
     return FeatureStandardizer(np.zeros(D_S), np.ones(D_S))
+
+
+def window_row(g, node):
+    """Raw feature row of one node (zero when absent), as cold starts receive it."""
+    return structural_feature_matrix(g, 2, [node])[1][0]
 
 
 class TestStructMapForward:
@@ -140,10 +150,10 @@ class TestAlphaZero:
         trainer = None
         params = model.parameters()
         if with_structmap:
-            batches = make_batches(stream, 15)
-            scaler = fit_window_standardizer(stream, batches, 0.25, 20.0, model.config.d_p)
+            features = WindowFeatures(stream, 0.25, 20.0, model.config.d_p)
+            scaler, rows = fit_window_standardizer(features, make_batches(stream, 15))
             sm = StructMapParams(model.config.d_s, model.config.d_m, 5, alpha, np.random.default_rng(99))
-            trainer = StructMapTrainer(sm, scaler, stream, 0.25, 20.0, model.config.d_p, coupled)
+            trainer = StructMapTrainer(sm, scaler, features, rows, coupled)
             params = params + sm.parameters()
         opt = Adam(params, lr=1e-2)
         state = fresh_state(model, 8)
@@ -188,7 +198,7 @@ class TestColdStart:
         sm = make_params(seed=6)
         store = MemoryStore(5, model_dm)
         scaler = identity_scaler()
-        applied = cold_start(store, 4, self._window(), 3.0, scaler, sm, d_p=2)
+        applied = cold_start(store, 4, window_row(self._window(), 4), 3.0, scaler, sm)
         assert applied
         expected = structmap_forward(
             sm, StructuralFeatureVector(np.zeros(D_S), standardized=True)
@@ -203,17 +213,17 @@ class TestColdStart:
         g.add_edge(0, 2)
         g.add_edge(1, 2)  # nodes 0 and 1 both have the single neighbor 2
         scaler = identity_scaler()
-        cold_start(store, 0, g, 1.0, scaler, sm, d_p=2)
-        cold_start(store, 1, g, 1.0, scaler, sm, d_p=2)
+        cold_start(store, 0, window_row(g, 0), 1.0, scaler, sm)
+        cold_start(store, 1, window_row(g, 1), 1.0, scaler, sm)
         assert np.array_equal(store.memory[0], store.memory[1])
 
     def test_idempotent(self):
         sm = make_params(seed=8)
         store = MemoryStore(3, 4)
         scaler = identity_scaler()
-        assert cold_start(store, 2, self._window(), 1.0, scaler, sm, d_p=2)
+        assert cold_start(store, 2, window_row(self._window(), 2), 1.0, scaler, sm)
         snap = store.memory[2].copy()
-        assert not cold_start(store, 2, self._window(), 5.0, scaler, sm, d_p=2)
+        assert not cold_start(store, 2, window_row(self._window(), 2), 5.0, scaler, sm)
         assert np.array_equal(store.memory[2], snap)
         assert store.last_update[2] == 1.0
 
@@ -222,7 +232,7 @@ class TestColdStart:
         store = MemoryStore(3, 4)
         store.memory[1] = 7.0
         store.last_update[1] = 2.0
-        assert not cold_start(store, 1, self._window(), 5.0, identity_scaler(), sm, d_p=2)
+        assert not cold_start(store, 1, window_row(self._window(), 1), 5.0, identity_scaler(), sm)
         assert np.all(store.memory[1] == 7.0)
 
     def test_cold_start_beats_zero_init_on_structured_task(self):
@@ -231,19 +241,16 @@ class TestColdStart:
         rng = np.random.default_rng(21)
         stream = random_stream(rng, 10, 150, span=30.0)
         model = tiny_model(seed=13, span=30.0)
-        batches = make_batches(stream, 25)
-        scaler = fit_window_standardizer(stream, batches, 0.2, 30.0, model.config.d_p)
+        features = WindowFeatures(stream, 0.2, 30.0, model.config.d_p)
+        scaler, rows = fit_window_standardizer(features, make_batches(stream, 25))
         sm = StructMapParams(model.config.d_s, model.config.d_m, 8, 1.0, np.random.default_rng(5))
-        trainer = StructMapTrainer(sm, scaler, stream, 0.2, 30.0, model.config.d_p)
+        trainer = StructMapTrainer(sm, scaler, features, rows)
         opt = Adam(model.parameters() + sm.parameters(), lr=5e-3)
         for _ in range(15):
             state = fresh_state(model, 10)
             train_epoch(stream, state, model, opt, 25, 1, np.random.default_rng(3), trainer)
         model.flush_pending(state)
         final = state.store.memory
-        from tglink.features import structural_feature_matrix
-        from tglink.graphs import aggregate_window
-
         wg = aggregate_window(stream, stream.end_time + 1e-9, 0.2, 30.0)
         _, raw = structural_feature_matrix(wg, model.config.d_p, list(range(10)))
         preds, _ = sm.forward(scaler.apply(raw))
@@ -256,6 +263,7 @@ class TestStandardizerFitting:
     def test_fit_over_batches(self):
         rng = np.random.default_rng(5)
         stream = random_stream(rng, 8, 80, span=10.0)
-        scaler = fit_window_standardizer(stream, make_batches(stream, 20), 0.3, 10.0, 2)
+        features = WindowFeatures(stream, 0.3, 10.0, 2)
+        scaler, _ = fit_window_standardizer(features, make_batches(stream, 20))
         assert scaler.mean.shape == (D_S,)
         assert np.all(scaler.sigma >= 1e-8)

@@ -1,11 +1,17 @@
 """Transfer scenarios, ranking metrics, and seed sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
+from tglink import features, transfer
 from tglink.errors import ContractError, ValidationError
-from tglink.events import GeneratorSpec
+from tglink.events import EventStream, GeneratorSpec, make_batches
+from tglink.features import WindowFeatures, structural_feature_matrix
+from tglink.graphs import aggregate_window
 from tglink.model import ModelConfig
+from tglink.structmap import StructMapParams, StructMapTrainer, fit_window_standardizer
 from tglink.transfer import (
     ExperimentConfig,
     MetricsRecord,
@@ -226,6 +232,82 @@ class TestScenarioDegeneracies:
             rec.batch_total_loss, rec.batch_tlp_loss, rec.batch_structmap_loss
         ):
             assert tot == pytest.approx(tlp + rec.alpha * sm, abs=1e-9)
+
+
+class TestWindowFeaturesComputedOnce:
+    """Every caller shares one computation per batch window, bit for bit."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Graph sizes of every window matrix computed while the test runs."""
+        calls = []
+        original = features.structural_feature_matrix
+
+        def counting(g, d_p=4, nodes=None):
+            calls.append(g.num_nodes)
+            return original(g, d_p, nodes)
+
+        monkeypatch.setattr(features, "structural_feature_matrix", counting)
+        return calls
+
+    def test_training_computes_each_batch_window_once(self, computed, monkeypatch):
+        stream = random_stream(np.random.default_rng(0), 12, 150, span=50.0)
+        after_standardizer = []
+        original = transfer.fit_window_standardizer
+
+        def noting(*args):
+            out = original(*args)
+            after_standardizer.append(len(computed))
+            return out
+
+        monkeypatch.setattr(transfer, "fit_window_standardizer", noting)
+        trained = fit(stream, None, SMALL_MODEL, SMALL_TRAIN, seed=5)
+        n_batches = len(make_batches(stream, SMALL_TRAIN.batch_size))
+        assert len(trained.epoch_history) == 2
+        assert after_standardizer == [n_batches]
+        # Both epochs reuse the standardizer's rows: the trainer misses 0.
+        assert len(computed) == n_batches
+
+    def test_structural_mapping_computes_each_eval_window_once(self, trained_small, computed):
+        base = random_stream(np.random.default_rng(9), 10, 119, span=40.0)
+        # The last event brings a new node, so the window just after the last
+        # batch is read for its cold start.
+        stream = EventStream(
+            np.append(base.src, 0),
+            np.append(base.dst, 10),
+            np.append(base.timestamps, 41.0),
+            np.empty((120, 0)),
+            11,
+        )
+        rec = run_transfer(
+            trained_small, stream, TransferScenario("structural_mapping"), seed=2, batch_size=30
+        )
+        assert rec.cold_starts == 11
+        assert len(computed) == math.ceil(120 / 30) + 1
+
+    def test_memoised_rows_equal_uncached_calls(self):
+        stream = random_stream(np.random.default_rng(3), 12, 150, span=50.0)
+        engine = WindowFeatures(stream, 0.1, 50.0, 2)
+        batches = make_batches(stream, 25)
+        uncached = []
+        for batch in batches:
+            t = batch.batch_start_time
+            g = aggregate_window(stream, t, 0.1, 50.0)
+            nodes = sorted(set(g.nodes()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
+            uncached.append(structural_feature_matrix(g, 2, nodes)[1])
+            got_nodes, got = engine.batch_rows(batch)
+            assert got_nodes == nodes
+            assert np.array_equal(got, uncached[-1])
+            some = [11, 0, 99, 5]  # in any order, absent nodes included
+            assert np.array_equal(engine.rows(t, some), structural_feature_matrix(g, 2, some)[1])
+
+        scaler, rows = fit_window_standardizer(WindowFeatures(stream, 0.1, 50.0, 2), batches)
+        want = features.FeatureStandardizer.fit(np.concatenate(uncached, axis=0))
+        assert np.array_equal(scaler.mean, want.mean) and np.array_equal(scaler.sigma, want.sigma)
+        params = StructMapParams(6, 4, 5, 1.0, np.random.default_rng(0))
+        trainer = StructMapTrainer(params, scaler, engine, rows)
+        for batch, raw in zip(batches, uncached):
+            assert np.array_equal(trainer.batch_features(batch)[1], want.apply(raw))
 
 
 class TestFit:

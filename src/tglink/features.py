@@ -171,7 +171,7 @@ class WindowFeatures:
         self.train_span = train_span
         self.d_p = d_p
         self._t_end: float | None = None
-        self._index: dict[int, int] = {}
+        self._present = np.zeros(0, dtype=np.int64)
         self._matrix = np.zeros((0, feature_dim(d_p)))
 
     def _load(self, t_end: float) -> None:
@@ -179,28 +179,30 @@ class WindowFeatures:
             return
         g = aggregate_window(self.stream, t_end, self.window_fraction, self.train_span)
         present, self._matrix = structural_feature_matrix(g, self.d_p)
-        self._index = {u: i for i, u in enumerate(present)}
+        self._present = np.array(present, dtype=np.int64)
         self._t_end = t_end
 
-    def rows(self, t_end: float, nodes: list[int]) -> np.ndarray:
-        """Raw rows of `nodes` on the window ending at `t_end`."""
+    def rows(self, t_end: float, nodes) -> np.ndarray:
+        """Raw rows of `nodes` (any order) on the window ending at `t_end`."""
         self._load(t_end)
-        at = np.array([self._index.get(u, -1) for u in nodes], dtype=np.int64)
-        present = at >= 0
+        nodes = np.asarray(nodes, dtype=np.int64)
+        at = np.searchsorted(self._present, nodes)
+        hit = at < len(self._present)
+        hit[hit] = self._present[at[hit]] == nodes[hit]
         out = np.zeros((len(nodes), self._matrix.shape[1]))
-        out[present] = self._matrix[at[present]]
+        out[hit] = self._matrix[at[hit]]
         return out
 
-    def batch_rows(self, batch) -> tuple[list[int], np.ndarray]:
+    def batch_rows(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Regression rows of a batch on the window ending at its start.
 
         The rows cover every node of the window plus the batch endpoints
-        (zero rows when absent), so the structural map sees the whole
+        (zero rows when absent), sorted, so the structural map sees the whole
         activity spectrum it must cover at cold-start time.
         """
         t_end = batch.batch_start_time
         self._load(t_end)
-        nodes = sorted(self._index.keys() | set(batch.src.tolist()) | set(batch.dst.tolist()))
+        nodes = np.union1d(self._present, np.concatenate([batch.src, batch.dst]))
         return nodes, self.rows(t_end, nodes)
 
 

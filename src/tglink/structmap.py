@@ -116,7 +116,7 @@ def structmap_loss_backward(
     return -dpred
 
 
-BatchRows = dict[tuple[int, int], tuple[list[int], np.ndarray]]
+BatchRows = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 class StructMapTrainer:
@@ -147,16 +147,16 @@ class StructMapTrainer:
         for _, raw in rows.values():
             standardizer.apply(raw, out=raw)
 
-    def batch_features(self, batch) -> tuple[list[int], np.ndarray]:
+    def batch_features(self, batch) -> tuple[np.ndarray, np.ndarray]:
         key = (batch.start, batch.stop)
         if key not in self._feature_cache:
             nodes, raw = self.features.batch_rows(batch)
             self._feature_cache[key] = (nodes, self.standardizer.apply(raw, out=raw))
         return self._feature_cache[key]
 
-    def loss_for_batch(self, batch, state) -> tuple[float, tuple, list[int]]:
+    def loss_for_batch(self, batch, state) -> tuple[float, tuple, np.ndarray]:
         nodes, feats = self.batch_features(batch)
-        targets = state.store.memory[np.array(nodes, dtype=np.int64)]
+        targets = state.store.memory[nodes]
         loss, cache = structmap_loss(self.params, feats, targets)
         return loss, cache, nodes
 

@@ -282,7 +282,7 @@ def evaluate_stream(
             sm_loss, _ = structmap_loss(
                 structmap.params,
                 structmap.standardizer.apply(raw, out=raw),
-                state.store.memory[np.array(nodes)],
+                state.store.memory[nodes],
             )
             total = batch_loss + structmap.alpha * sm_loss
         record.batch_tlp_loss.append(float(batch_loss))

@@ -296,7 +296,7 @@ class TestWindowFeaturesComputedOnce:
             nodes = sorted(set(g.nodes()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
             uncached.append(structural_feature_matrix(g, 2, nodes)[1])
             got_nodes, got = engine.batch_rows(batch)
-            assert got_nodes == nodes
+            assert got_nodes.tolist() == nodes
             assert np.array_equal(got, uncached[-1])
             some = [11, 0, 99, 5]  # in any order, absent nodes included
             assert np.array_equal(engine.rows(t, some), structural_feature_matrix(g, 2, some)[1])

@@ -202,20 +202,21 @@ class StructMapDeployment:
 
     Each node is cold-started from its window features just before its first
     event enters the memory, and every batch logs the structural regression
-    loss (weighted by `alpha`). Both read `features`, which computes each
-    batch window once for the two.
+    loss, weighted by `alpha`. Windows span `window_fraction * train_span`.
     """
 
     params: StructMapParams
     standardizer: FeatureStandardizer
     alpha: float
-    features: WindowFeatures
+    window_fraction: float
+    train_span: float
 
 
 def _cold_start_pending(
     state: RunState,
     window_end: float,
     structmap: StructMapDeployment,
+    features: WindowFeatures,
     record: MetricsRecord,
 ) -> None:
     """Initialize never-seen nodes of the pending batch before it is applied.
@@ -238,7 +239,7 @@ def _cold_start_pending(
     if not first_seen:
         return
     nodes = sorted(first_seen)
-    raw = structmap.features.rows(window_end, nodes)
+    raw = features.rows(window_end, nodes)
     for n, row in zip(nodes, raw):
         if cold_start(state.store, n, row, first_seen[n], structmap.standardizer, structmap.params):
             record.cold_starts += 1
@@ -257,13 +258,19 @@ def evaluate_stream(
     """Stream batches without gradients, appending metrics to `record`.
 
     `structmap` turns on cold starts of newly appearing nodes and per-batch
-    structural-regression loss logging.
+    structural-regression loss logging. Both read the batch's window through
+    one `WindowFeatures`, so each window is computed once for the two.
     """
+    features = (
+        WindowFeatures(stream, structmap.window_fraction, structmap.train_span, model.config.d_p)
+        if structmap is not None
+        else None
+    )
     all_pos: list[np.ndarray] = []
     all_neg: list[np.ndarray] = []
     for batch in batches:
         if structmap is not None:
-            _cold_start_pending(state, batch.batch_start_time, structmap, record)
+            _cold_start_pending(state, batch.batch_start_time, structmap, features, record)
         model.flush_pending(state)
         negs = negatives[batch.start : batch.stop]
         fwd = forward_batch(model, batch, negs, state)
@@ -278,7 +285,7 @@ def evaluate_stream(
         sm_loss = 0.0
         total = batch_loss
         if structmap is not None:
-            nodes, raw = structmap.features.batch_rows(batch)
+            nodes, raw = features.batch_rows(batch)
             sm_loss, _ = structmap_loss(
                 structmap.params,
                 structmap.standardizer.apply(raw, out=raw),
@@ -294,7 +301,7 @@ def evaluate_stream(
         state.cache.insert_batch(batch)
     if structmap is not None and state.pending is not None:
         _cold_start_pending(
-            state, np.nextafter(state.pending.batch_end_time, np.inf), structmap, record
+            state, np.nextafter(state.pending.batch_end_time, np.inf), structmap, features, record
         )
     model.flush_pending(state)
     if all_pos:
@@ -507,10 +514,7 @@ def run_transfer(
         w = scenario.window_fraction or trained.config.window_fraction
         record.alpha = alpha
         deployment = StructMapDeployment(
-            structmap,
-            trained.standardizer,
-            alpha,
-            WindowFeatures(test_stream, w, trained.train_span, trained.config.d_p),
+            structmap, trained.standardizer, alpha, w, trained.train_span
         )
 
     eval_batches = [

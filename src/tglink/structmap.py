@@ -122,37 +122,26 @@ BatchRows = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 class StructMapTrainer:
     """Per-batch regression bookkeeping used inside the training loop.
 
-    For each batch it standardizes the window rows of the batch (window nodes
-    plus endpoints, see `WindowFeatures.batch_rows`) and regresses them onto
-    those nodes' current memory rows. Feature rows do not depend on
-    parameters, so each batch's rows are computed once per fit: the trainer
-    takes `rows` as `fit_window_standardizer` returns them, standardizes them
-    in place and reuses them in every epoch. A batch missing from them is
-    computed on first use and kept. One copy of each batch's rows is held.
+    For each batch it regresses the standardized window rows of the batch
+    (window nodes plus endpoints, see `WindowFeatures.batch_rows`) onto those
+    nodes' current memory rows. Feature rows do not depend on parameters, so
+    they are computed once per fit: `rows` is the dict that
+    `fit_window_standardizer` returns, already standardized and keyed by
+    batch slice, and every epoch reads it. A batch outside it is an error.
     """
 
     def __init__(
         self,
         params: StructMapParams,
-        standardizer: FeatureStandardizer,
-        features: WindowFeatures,
         rows: BatchRows,
         coupled: bool = False,
     ):
         self.params = params
-        self.standardizer = standardizer
-        self.features = features
         self.coupled = coupled
-        self._feature_cache = rows
-        for _, raw in rows.values():
-            standardizer.apply(raw, out=raw)
+        self._rows = rows
 
     def batch_features(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        key = (batch.start, batch.stop)
-        if key not in self._feature_cache:
-            nodes, raw = self.features.batch_rows(batch)
-            self._feature_cache[key] = (nodes, self.standardizer.apply(raw, out=raw))
-        return self._feature_cache[key]
+        return self._rows[(batch.start, batch.stop)]
 
     def loss_for_batch(self, batch, state) -> tuple[float, tuple, np.ndarray]:
         nodes, feats = self.batch_features(batch)
@@ -171,13 +160,16 @@ class StructMapTrainer:
 def fit_window_standardizer(features: WindowFeatures, batches) -> tuple[FeatureStandardizer, BatchRows]:
     """Fit feature statistics over every batch's window rows.
 
-    Returns the raw rows too, keyed by batch slice, for `StructMapTrainer`
-    to reuse instead of computing them again.
+    Returns the rows too, standardized in place after the fit and keyed by
+    batch slice, for `StructMapTrainer` to read instead of computing them
+    again.
     """
     per_batch = [features.batch_rows(batch) for batch in batches]
     if not per_batch:
         raise ValidationError("cannot fit a standardizer on an empty stream")
     standardizer = FeatureStandardizer.fit(np.concatenate([raw for _, raw in per_batch], axis=0))
+    for _, raw in per_batch:
+        standardizer.apply(raw, out=raw)
     rows = {(batch.start, batch.stop): nodes_raw for batch, nodes_raw in zip(batches, per_batch)}
     return standardizer, rows
 

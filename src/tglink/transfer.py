@@ -349,9 +349,7 @@ def fit(
             model_config.alpha,
             child_rng(seed, "structmap-init"),
         )
-        sm_trainer = StructMapTrainer(
-            structmap, standardizer, features, rows, coupled=model_config.coupled_structmap
-        )
+        sm_trainer = StructMapTrainer(structmap, rows, coupled=model_config.coupled_structmap)
 
     params = model.parameters() + (structmap.parameters() if structmap else [])
     optimizer = Adam(params, lr=train_config.lr)

@@ -437,9 +437,9 @@ class TestCriterion7ScenarioDegeneracies:
             params = model.parameters()
             if with_sm:
                 features = WindowFeatures(stream, 0.25, 20.0, model.config.d_p)
-                scaler, rows = fit_window_standardizer(features, make_batches(stream, 15))
+                _, rows = fit_window_standardizer(features, make_batches(stream, 15))
                 sm = StructMapParams(model.config.d_s, model.config.d_m, 5, 0.0, np.random.default_rng(99))
-                trainer = StructMapTrainer(sm, scaler, features, rows)
+                trainer = StructMapTrainer(sm, rows)
                 params = params + sm.parameters()
             opt = Adam(params, lr=1e-2)
             state = fresh_state(model, 8)

@@ -151,9 +151,9 @@ class TestAlphaZero:
         params = model.parameters()
         if with_structmap:
             features = WindowFeatures(stream, 0.25, 20.0, model.config.d_p)
-            scaler, rows = fit_window_standardizer(features, make_batches(stream, 15))
+            _, rows = fit_window_standardizer(features, make_batches(stream, 15))
             sm = StructMapParams(model.config.d_s, model.config.d_m, 5, alpha, np.random.default_rng(99))
-            trainer = StructMapTrainer(sm, scaler, features, rows, coupled)
+            trainer = StructMapTrainer(sm, rows, coupled)
             params = params + sm.parameters()
         opt = Adam(params, lr=1e-2)
         state = fresh_state(model, 8)
@@ -244,7 +244,7 @@ class TestColdStart:
         features = WindowFeatures(stream, 0.2, 30.0, model.config.d_p)
         scaler, rows = fit_window_standardizer(features, make_batches(stream, 25))
         sm = StructMapParams(model.config.d_s, model.config.d_m, 8, 1.0, np.random.default_rng(5))
-        trainer = StructMapTrainer(sm, scaler, features, rows)
+        trainer = StructMapTrainer(sm, rows)
         opt = Adam(model.parameters() + sm.parameters(), lr=5e-3)
         for _ in range(15):
             state = fresh_state(model, 10)

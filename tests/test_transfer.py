@@ -305,7 +305,7 @@ class TestWindowFeaturesComputedOnce:
         want = features.FeatureStandardizer.fit(np.concatenate(uncached, axis=0))
         assert np.array_equal(scaler.mean, want.mean) and np.array_equal(scaler.sigma, want.sigma)
         params = StructMapParams(6, 4, 5, 1.0, np.random.default_rng(0))
-        trainer = StructMapTrainer(params, scaler, engine, rows)
+        trainer = StructMapTrainer(params, rows)
         for batch, raw in zip(batches, uncached):
             assert np.array_equal(trainer.batch_features(batch)[1], want.apply(raw))
 

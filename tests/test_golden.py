@@ -2,8 +2,10 @@
 
 Run-against-run determinism tests cannot see a silent change of bits that
 stays inside the acceptance margins; these pins can. They cover raw window
-features of the desk train stream and every record (minus wall-clock timing)
-plus the training history of the acceptance benchmark, seed 1.
+features of the desk train stream, the trained state `fit` returns (model
+parameters, final memory and neighbor cache) and every record (minus
+wall-clock timing) plus the training history of the acceptance benchmark,
+seed 1.
 
 A different numpy or BLAS build may legitimately change the last bits, so the
 pins are keyed by numpy version and BLAS name, and an unpinned platform skips
@@ -26,12 +28,14 @@ from tglink.features import structural_feature_matrix
 from tglink.graphs import aggregate_static, aggregate_window
 from tglink.rngs import child_rng
 from tglink.splitting import louvain, make_transfer_split
+from tglink.transfer import fit
 
 from helpers import BENCHMARK, BENCHMARK_SEEDS
 
 PINS = {
     ("2.4.6", "scipy-openblas"): {
         "window_features": "9471227276fdf46b57e256200324c91ab6ebc3f8cbaec9caf1ffc982d6ef9beb",
+        "fit": "228808eee45d8db4c410cbf4763b4dcac1cafa0c15ae0a782948ec5aa0a1c8fe",
         "record.no_warm_start": "f880269e026803d730cd6f466786291dc8efe33c6371d8139a111ac5e5d889cb",
         "record.warm_start": "918adc2cea75982968d9287fb8263fe95a5d271c2d80113f541dd800ebfc3e8f",
         "record.structural_mapping": "a2bd153893e1ef66fc330d0e5f89a7f494c8cf8a088990dca9ae6f9ddcbb0a20",
@@ -57,13 +61,17 @@ def _sha(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def window_features_digest() -> str:
+def seed_one_split():
     seed = BENCHMARK_SEEDS[0]
     stream = generate_synthetic(BENCHMARK.generator, child_rng(seed, "generate"))
     assignment = louvain(aggregate_static(stream), child_rng(seed, "louvain"))
-    train = make_transfer_split(
+    return make_transfer_split(
         stream, assignment, BENCHMARK.balance_tolerance, allow_two_way=BENCHMARK.allow_two_way
-    ).train
+    )
+
+
+def window_features_digest() -> str:
+    train = seed_one_split().train
     batches = make_batches(train, BENCHMARK.train.batch_size)
     picks = np.linspace(0, len(batches) - 1, WINDOW_BATCHES).astype(int)
     h = hashlib.sha256()
@@ -74,6 +82,28 @@ def window_features_digest() -> str:
             h.update(np.asarray(nodes, dtype=np.int64).tobytes())
             h.update(np.ascontiguousarray(mat).tobytes())
     return h.hexdigest()
+
+
+def fit_digest() -> str:
+    """Parameters, final memory and neighbor cache of the seed-1 `fit`."""
+    split = seed_one_split()
+    trained = fit(
+        split.train,
+        split.val,
+        BENCHMARK.model,
+        BENCHMARK.train,
+        BENCHMARK_SEEDS[0],
+        config_hash=BENCHMARK.config_hash,
+        eval_negatives=BENCHMARK.eval_negatives,
+        ks=BENCHMARK.hits_ks,
+    )
+    return _sha(
+        {
+            "params": trained.model.state_dict(),
+            "memory": trained.store.to_dict(),
+            "neighbor_cache": trained.cache.to_dict(),
+        }
+    )
 
 
 def sweep_digests(result) -> dict[str, str]:
@@ -99,17 +129,21 @@ def test_window_features_pinned(pins):
     assert window_features_digest() == pins["window_features"]
 
 
+def test_fit_pinned(pins):
+    assert fit_digest() == pins["fit"]
+
+
 def test_benchmark_seed_one_pinned(pins, benchmark_sweep):
     sweep, _ = benchmark_sweep
     result = sweep.results[0]
     assert result.seed == BENCHMARK_SEEDS[0] and result.error is None
     got = sweep_digests(result)
-    assert got == {k: v for k, v in pins.items() if k != "window_features"}
+    assert got == {k: v for k, v in pins.items() if k not in ("window_features", "fit")}
 
 
 if __name__ == "__main__":
     from tglink.transfer import run_experiment
 
-    digests = {"window_features": window_features_digest()}
+    digests = {"window_features": window_features_digest(), "fit": fit_digest()}
     digests.update(sweep_digests(run_experiment(BENCHMARK, BENCHMARK_SEEDS[0])))
     print(f"{platform()!r}: {json.dumps(digests, indent=4)},")

@@ -15,7 +15,6 @@ gradients reach the message MLP and the GRU through the flush recomputation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,44 +147,87 @@ class MemoryStore:
 
 
 class NeighborCache:
-    """Per-node ring buffer of the k most recent (neighbor, time, features)."""
+    """Per-node ring buffer of the k most recent (neighbor, time, features).
+
+    TGN's last-neighbor loader: `ids`, `times` and `feat` hold k slots per
+    node and `count[u]` is how many entries node u has ever received. Its
+    j-th most recent entry sits in slot `(count[u] - 1 - j) % k`; slots that
+    never received an entry stay exactly zero.
+    """
 
     def __init__(self, num_nodes: int, k: int, d_e: int):
         if k < 1:
             raise ValidationError("neighbor cache size must be >= 1")
         self.k = k
         self.d_e = d_e
-        self._buffers: list[deque] = [deque(maxlen=k) for _ in range(num_nodes)]
+        self.ids = np.zeros((num_nodes, k), dtype=np.int64)
+        self.times = np.zeros((num_nodes, k))
+        self.feat = np.zeros((num_nodes, k, d_e))
+        self.count = np.zeros(num_nodes, dtype=np.int64)
 
     def insert_batch(self, batch: EventBatch) -> None:
-        for i in range(batch.start, batch.stop):
-            s = int(batch.stream.src[i])
-            d = int(batch.stream.dst[i])
-            t = float(batch.stream.timestamps[i])
-            feat = batch.stream.edge_feat[i]
-            self._buffers[s].append((d, t, feat))
-            self._buffers[d].append((s, t, feat))
+        """Append each event to src's buffer, then to dst's, in stream order.
 
-    def recent(self, node: int) -> list[tuple[int, float, np.ndarray]]:
-        """Most recent first."""
-        return list(reversed(self._buffers[node]))
+        Only each node's last k appends survive, and those land in distinct
+        slots, so the writes replay the sequential order exactly.
+        """
+        owners = np.stack([batch.src, batch.dst], axis=1).reshape(-1)
+        others = np.stack([batch.dst, batch.src], axis=1).reshape(-1)
+        order = np.argsort(owners, kind="stable")
+        owner = owners[order]
+        nodes, first, appends = np.unique(owner, return_index=True, return_counts=True)
+        rank = np.arange(len(owner)) - np.repeat(first, appends)
+        keep = rank >= np.repeat(appends - self.k, appends)
+        pos, u = order[keep], owner[keep]
+        slot = (self.count[u] + rank[keep]) % self.k
+        self.ids[u, slot] = others[pos]
+        self.times[u, slot] = batch.timestamps[pos // 2]
+        self.feat[u, slot] = batch.edge_feat[pos // 2]
+        self.count[nodes] += appends
+
+    def gather(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, times, feat, mask) per node, most recent first; empty slots are 0."""
+        c = self.count[nodes][:, None]
+        back = np.arange(self.k)
+        flat = nodes[:, None] * self.k + (c - 1 - back) % self.k
+        return (
+            self.ids.reshape(-1)[flat],
+            self.times.reshape(-1)[flat],
+            self.feat.reshape(self.ids.size, self.d_e)[flat],
+            back < c,
+        )
+
+    def copy(self) -> "NeighborCache":
+        clone = NeighborCache(0, self.k, self.d_e)
+        clone.ids = self.ids.copy()
+        clone.times = self.times.copy()
+        clone.feat = self.feat.copy()
+        clone.count = self.count.copy()
+        return clone
 
     def to_dict(self) -> dict:
+        """Each node's entries oldest first, as [id, t, feat] triples."""
+        ids, times, feat, _ = self.gather(np.arange(len(self.count)))
+        ids, times, feat = ids.tolist(), times.tolist(), feat.tolist()
         return {
             "k": self.k,
             "d_e": self.d_e,
             "buffers": [
-                [[int(n), float(t), np.asarray(f).tolist()] for n, t, f in buf]
-                for buf in self._buffers
+                [[ids[u][j], times[u][j], feat[u][j]] for j in range(n - 1, -1, -1)]
+                for u, n in enumerate(np.minimum(self.count, self.k).tolist())
             ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeighborCache":
         cache = cls(len(d["buffers"]), int(d["k"]), int(d["d_e"]))
-        for i, buf in enumerate(d["buffers"]):
-            for n, t, f in buf:
-                cache._buffers[i].append((int(n), float(t), np.array(f, dtype=np.float64)))
+        for u, buf in enumerate(d["buffers"]):
+            buf = buf[-cache.k :]
+            for slot, (n, t, f) in enumerate(buf):
+                cache.ids[u, slot] = int(n)
+                cache.times[u, slot] = float(t)
+                cache.feat[u, slot] = np.array(f, dtype=np.float64)
+            cache.count[u] = len(buf)
         return cache
 
 
@@ -193,7 +235,7 @@ class NeighborCache:
 class Messages:
     """Per-node reduced messages for one batch (keep-latest reduction)."""
 
-    nodes: list[int]
+    nodes: np.ndarray  # (P,) sorted
     values: np.ndarray  # (P, d_m)
     timestamps: np.ndarray  # (P,)
     caches: tuple | None = None
@@ -267,17 +309,14 @@ class TgnModel:
         hi = max(int(batch.src.max()), int(batch.dst.max()))
         if hi >= store.num_nodes:
             raise ContractError(f"event endpoint {hi} >= store capacity {store.num_nodes}")
-        latest: dict[int, tuple[float, int, int, int]] = {}
-        for i in range(len(batch)):
-            s, d = int(batch.src[i]), int(batch.dst[i])
-            t = float(batch.timestamps[i])
-            latest[s] = (t, i, s, d)
-            latest[d] = (t, i, d, s)
-        nodes = sorted(latest)
-        ts = np.array([latest[n][0] for n in nodes])
-        selfs = np.array(nodes, dtype=np.int64)
-        others = np.array([latest[n][3] for n in nodes], dtype=np.int64)
-        rows = np.array([latest[n][1] for n in nodes], dtype=np.int64)
+        # Endpoints in event order, src before dst; the last entry per node wins.
+        owners = np.stack([batch.src, batch.dst], axis=1).reshape(-1)
+        others = np.stack([batch.dst, batch.src], axis=1).reshape(-1)
+        selfs, from_end = np.unique(owners[::-1], return_index=True)
+        pos = len(owners) - 1 - from_end
+        rows = pos // 2
+        others = others[pos]
+        ts = batch.timestamps[rows]
         dt = store.elapsed(selfs, ts)
         enc, enc_cache = self.time_enc.forward(dt)
         x = np.concatenate(
@@ -285,15 +324,15 @@ class TgnModel:
         )
         msg, mlp_cache = self.message_mlp.forward(x)
         caches = (enc_cache, mlp_cache) if want_caches else None
-        return Messages(nodes, msg, ts, caches)
+        return Messages(selfs, msg, ts, caches)
 
     def update_memory(
         self, store: MemoryStore, messages: Messages, want_caches: bool = False
     ) -> tuple | None:
         """Apply messages through the GRU; raises DivergenceError on non-finite."""
-        if not messages.nodes:
+        if len(messages.nodes) == 0:
             return None
-        idx = np.array(messages.nodes, dtype=np.int64)
+        idx = np.asarray(messages.nodes, dtype=np.int64)
         h = store.memory[idx]
         h_new, gru_cache = self.updater.forward(h, messages.values)
         if not np.all(np.isfinite(h_new)):
@@ -318,8 +357,7 @@ class TgnModel:
         if flush_record is None:
             return
         messages, gru_cache = flush_record
-        idx = np.array(messages.nodes, dtype=np.int64)
-        dh_new = dmem[idx]
+        dh_new = dmem[messages.nodes]
         if not np.any(dh_new):
             return
         _, dmsg = self.updater.backward(gru_cache, dh_new)
@@ -342,22 +380,12 @@ class TgnModel:
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         m = len(nodes)
-        k = cfg.num_neighbors
-        nbr_ids = np.zeros((m, k), dtype=np.int64)
-        nbr_dt = np.zeros((m, k))
-        nbr_feat = np.zeros((m, k, cfg.d_e))
-        mask = np.zeros((m, k), dtype=bool)
-        for i in range(m):
-            for j, (n, t_e, feat) in enumerate(cache.recent(int(nodes[i]))):
-                nbr_ids[i, j] = n
-                nbr_dt[i, j] = times[i] - t_e
-                if cfg.d_e:
-                    nbr_feat[i, j] = feat
-                mask[i, j] = True
+        nbr_ids, nbr_t, nbr_feat, mask = cache.gather(nodes)
+        nbr_dt = np.where(mask, times[:, None] - nbr_t, 0.0)
         q_dt = store.elapsed(nodes, times)
         q_enc, q_tc = self.time_enc.forward(q_dt)
         k_enc_flat, k_tc = self.time_enc.forward(nbr_dt.reshape(-1))
-        k_enc = k_enc_flat.reshape(m, k, cfg.d_t)
+        k_enc = k_enc_flat.reshape(m, cache.k, cfg.d_t)
         q_in = np.concatenate([store.memory[nodes], q_enc], axis=1)
         kv_in = np.concatenate([store.memory[nbr_ids], nbr_feat, k_enc], axis=2)
         emb, att_cache = self.attention.forward(q_in, kv_in, mask)

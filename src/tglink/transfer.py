@@ -405,7 +405,7 @@ def fit(
                     model.state_dict(),
                     structmap.state_dict() if structmap else None,
                     state.store.snapshot(),
-                    state.cache.to_dict(),
+                    state.cache.copy(),
                 )
                 bad_epochs = 0
             else:
@@ -419,7 +419,7 @@ def fit(
         if structmap is not None and best_snapshot[1] is not None:
             structmap.load_state_dict(best_snapshot[1])
         final_state.store.restore(best_snapshot[2])
-        final_state.cache = NeighborCache.from_dict(best_snapshot[3])
+        final_state.cache = best_snapshot[3]
 
     return TrainedModel(
         model=model,

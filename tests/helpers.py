@@ -76,7 +76,7 @@ def fresh_state(model: TgnModel, num_nodes: int) -> RunState:
 def copy_state(model: TgnModel, state: RunState) -> RunState:
     clone = RunState(
         MemoryStore.from_dict(state.store.to_dict()),
-        NeighborCache.from_dict(state.cache.to_dict()),
+        state.cache.copy(),
         state.pending,
     )
     return clone

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's algorithms: shortest paths
 are enumerated by DFS over Floyd-Warshall distances, walks are enumerated
 recursively, partitions exhaustively, and ranks by pairwise counting. Slow,
-but trustworthy on small inputs. The exception is a former implementation
-kept as the bitwise reference for a faster port of it.
+but trustworthy on small inputs. The exceptions are former implementations
+kept as the bitwise references for faster ports of them.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from collections import deque
 
 import numpy as np
 
+from tglink.errors import ValidationError
+from tglink.events import EventBatch
 from tglink.graphs import Graph
 
 
@@ -270,3 +272,49 @@ def rank_oracle(true_score: float, neg_scores: list[float]) -> float:
     optimistic = 1 + sum(1 for s in neg_scores if s > true_score)
     pessimistic = 1 + sum(1 for s in neg_scores if s >= true_score)
     return (optimistic + pessimistic) / 2.0
+
+
+class DequeNeighborCache:
+    """Per-node ring buffer of the k most recent (neighbor, time, features).
+
+    The list-of-deques `NeighborCache` that the ring-array one replaced,
+    kept as the bitwise reference for its gather, insert order and JSON.
+    """
+
+    def __init__(self, num_nodes: int, k: int, d_e: int):
+        if k < 1:
+            raise ValidationError("neighbor cache size must be >= 1")
+        self.k = k
+        self.d_e = d_e
+        self._buffers: list[deque] = [deque(maxlen=k) for _ in range(num_nodes)]
+
+    def insert_batch(self, batch: EventBatch) -> None:
+        for i in range(batch.start, batch.stop):
+            s = int(batch.stream.src[i])
+            d = int(batch.stream.dst[i])
+            t = float(batch.stream.timestamps[i])
+            feat = batch.stream.edge_feat[i]
+            self._buffers[s].append((d, t, feat))
+            self._buffers[d].append((s, t, feat))
+
+    def recent(self, node: int) -> list[tuple[int, float, np.ndarray]]:
+        """Most recent first."""
+        return list(reversed(self._buffers[node]))
+
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "d_e": self.d_e,
+            "buffers": [
+                [[int(n), float(t), np.asarray(f).tolist()] for n, t, f in buf]
+                for buf in self._buffers
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DequeNeighborCache":
+        cache = cls(len(d["buffers"]), int(d["k"]), int(d["d_e"]))
+        for i, buf in enumerate(d["buffers"]):
+            for n, t, f in buf:
+                cache._buffers[i].append((int(n), float(t), np.array(f, dtype=np.float64)))
+        return cache

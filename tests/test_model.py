@@ -1,7 +1,11 @@
-"""Message computation, memory updates, embedding, training step, accounting."""
+"""Neighbor cache, messages, memory updates, embedding, training, accounting."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tglink.errors import ContractError, DivergenceError
 from tglink.events import EventBatch, EventStream, make_batches
@@ -20,6 +24,7 @@ from tglink.model import (
 from tglink.nn import Adam, MlpSpec, grad_check
 
 from helpers import copy_state, fresh_state, random_stream, tiny_model
+from oracles import DequeNeighborCache
 
 
 def single_batch(src, dst, ts, num_nodes, d_e=0, feats=None):
@@ -29,6 +34,92 @@ def single_batch(src, dst, ts, num_nodes, d_e=0, feats=None):
         np.array(src, np.int64), np.array(dst, np.int64), np.array(ts, float), feat, num_nodes
     )
     return stream, EventBatch(stream, 0, n)
+
+
+@st.composite
+def cache_runs(draw):
+    """A small stream cut into batches, plus where to round-trip the cache.
+
+    Few nodes make a node appear more than k times in one batch, and
+    timestamps drawn from six values make ties common.
+    """
+    k = draw(st.integers(1, 5))
+    d_e = draw(st.integers(0, 2))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 40))
+    events = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src = np.array(draw(events), dtype=np.int64)
+    shift = np.array(draw(st.lists(st.integers(1, n - 1), min_size=m, max_size=m)))
+    ts = np.sort(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))) * 0.37
+    feat = draw(
+        st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=m * d_e, max_size=m * d_e)
+    )
+    stream = EventStream(src, (src + shift) % n, ts, np.reshape(feat, (m, d_e)), n)
+    batches, lo = [], 0
+    while lo < m:
+        hi = min(m, lo + draw(st.integers(1, 15)))
+        batches.append(EventBatch(stream, lo, hi))
+        lo = hi
+    round_trip = draw(st.integers(-1, len(batches) - 1))
+    return k, d_e, n, batches, round_trip
+
+
+def assert_cache_matches(cache: NeighborCache, oracle: DequeNeighborCache, n: int) -> None:
+    ids, times, feat, mask = cache.gather(np.arange(n))
+    for u in range(n):
+        recent = oracle.recent(u)
+        filled = len(recent)
+        assert mask[u].tolist() == [j < filled for j in range(cache.k)]
+        assert ids[u, :filled].tolist() == [e[0] for e in recent]
+        assert times[u, :filled].tobytes() == np.array([e[1] for e in recent]).tobytes()
+        for j, e in enumerate(recent):
+            assert feat[u, j].tobytes() == np.asarray(e[2], dtype=np.float64).tobytes()
+        # Empty slots are +0 exactly, not merely equal to zero.
+        assert not ids[u, filled:].any()
+        assert times[u, filled:].tobytes() == bytes(times[u, filled:].nbytes)
+        assert feat[u, filled:].tobytes() == bytes(feat[u, filled:].nbytes)
+    assert json.dumps(cache.to_dict()) == json.dumps(oracle.to_dict())
+
+
+def _pinned_run():
+    """k = 1, d_e = 2, a one-event batch, then node 0 four times at tied times."""
+    feat = np.arange(10, dtype=np.float64).reshape(5, 2) / 3
+    stream = EventStream([0, 0, 0, 1, 2], [1, 2, 1, 0, 0], [0, 0, 0.37, 0.37, 0.74], feat, 3)
+    return 1, 2, 3, [EventBatch(stream, 0, 1), EventBatch(stream, 1, 5)], 0
+
+
+class TestNeighborCache:
+    @given(run=cache_runs())
+    @example(run=_pinned_run())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_deque_oracle(self, run):
+        k, d_e, n, batches, round_trip = run
+        cache, oracle = NeighborCache(n, k, d_e), DequeNeighborCache(n, k, d_e)
+        assert_cache_matches(cache, oracle, n)
+        for i, batch in enumerate(batches):
+            cache.insert_batch(batch)
+            oracle.insert_batch(batch)
+            if i == round_trip:
+                cache = NeighborCache.from_dict(json.loads(json.dumps(cache.to_dict())))
+                oracle = DequeNeighborCache.from_dict(json.loads(json.dumps(oracle.to_dict())))
+            assert_cache_matches(cache, oracle, n)
+
+    def test_copy_is_independent(self):
+        stream = random_stream(np.random.default_rng(0), 5, 30, d_e=2)
+        cache = NeighborCache(5, 3, 2)
+        cache.insert_batch(EventBatch(stream, 0, 20))
+        clone = cache.copy()
+        before = json.dumps(cache.to_dict())
+        cache.insert_batch(EventBatch(stream, 20, 30))
+        assert json.dumps(clone.to_dict()) == before
+        clone.insert_batch(EventBatch(stream, 20, 30))
+        assert json.dumps(clone.to_dict()) == json.dumps(cache.to_dict())
+
+    def test_from_dict_keeps_last_k(self):
+        cache = NeighborCache.from_dict(
+            {"k": 2, "d_e": 0, "buffers": [[[1, 0.5, []], [2, 1.0, []], [3, 1.5, []]], [], []]}
+        )
+        assert cache.to_dict()["buffers"][0] == [[2, 1.0, []], [3, 1.5, []]]
 
 
 class TestComputeMessages:
@@ -59,7 +150,7 @@ class TestComputeMessages:
         model = tiny_model()
         _, batch = single_batch([3], [1], [2.5], 5)
         msgs = model.compute_messages(batch, MemoryStore(5, model.config.d_m))
-        assert msgs.nodes == [1, 3]
+        assert msgs.nodes.tolist() == [1, 3]
         assert msgs.timestamps.tolist() == [2.5, 2.5]
 
     def test_keep_latest_reduction(self):
@@ -70,8 +161,8 @@ class TestComputeMessages:
         msgs = model.compute_messages(batch3, store)
         _, latest_only = single_batch([0], [3], [3.0], 6)
         latest = model.compute_messages(latest_only, store)
-        i = msgs.nodes.index(0)
-        assert msgs.values[i] == pytest.approx(latest.values[latest.nodes.index(0)])
+        i = msgs.nodes.tolist().index(0)
+        assert msgs.values[i] == pytest.approx(latest.values[latest.nodes.tolist().index(0)])
         assert msgs.timestamps[i] == 3.0
 
     def test_capacity_error(self):

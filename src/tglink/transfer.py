@@ -477,7 +477,7 @@ def run_transfer(
             record.finetune_cutoff_time = float(test_stream.timestamps[n_ft - 1])
             record.finetune_event_range = (0, n_ft)
             if scenario.finetune_parameters:
-                optimizer = Adam(model.parameters(), lr=finetune_lr or 3e-4)
+                optimizer = Adam(model.parameters(), lr=3e-4 if finetune_lr is None else finetune_lr)
                 ft_rng = child_rng(seed, "finetune-negatives")
                 for batch in ft_batches:
                     flush_rec = model.flush_pending(state, want_caches=True)

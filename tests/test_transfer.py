@@ -210,6 +210,23 @@ class TestScenarioDegeneracies:
         n_skip = len(plain.batch_tlp_loss) - len(frozen.batch_tlp_loss)
         assert frozen.batch_tlp_loss == plain.batch_tlp_loss[n_skip:]
 
+    def test_zero_finetune_lr_equals_frozen_parameters(self, trained_small, test_stream_small):
+        def warm(finetune_parameters: bool, **lr):
+            scenario = TransferScenario(
+                "warm_start", finetune_fraction=0.25, finetune_parameters=finetune_parameters
+            )
+            return run_transfer(
+                trained_small, test_stream_small, scenario, seed=8, batch_size=30, **lr
+            )
+
+        zero_lr, frozen = warm(True, finetune_lr=0.0), warm(False)
+        assert zero_lr.optimizer_steps > 0
+        assert zero_lr.mrr == frozen.mrr
+        assert zero_lr.hits == frozen.hits
+        assert zero_lr.batch_tlp_loss == frozen.batch_tlp_loss
+        assert zero_lr.batch_structmap_loss == frozen.batch_structmap_loss
+        assert zero_lr.batch_total_loss == frozen.batch_total_loss
+
     def test_records_are_deterministic(self, trained_small, test_stream_small):
         a = run_transfer(
             trained_small, test_stream_small, TransferScenario("warm_start"), seed=11,

@@ -23,7 +23,9 @@ FORMAT = "tglink-checkpoint"
 VERSION = 1
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write `text` through a sibling temporary file, creating parent directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     tmp.replace(path)
@@ -47,7 +49,7 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
         "rng_state": trained.rng_state,
         "epoch_history": trained.epoch_history,
     }
-    _atomic_write_text(Path(path), json.dumps(payload, sort_keys=True))
+    atomic_write_text(Path(path), json.dumps(payload, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:

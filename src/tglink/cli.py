@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
 from .config import RunConfig, build_run_config, load_config_file
 from .errors import DivergenceError, TglinkError
 from .events import EventStream, generate_synthetic, load_csv, make_batches, write_csv
@@ -34,23 +34,16 @@ from .transfer import TransferScenario, fit, run_transfer, seed_sweep
 log = logging.getLogger("tglink")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
     payload = {"config_hash": cfg_hash, **payload}
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv_rows(path: Path, header: list[str], rows: list[list], cfg_hash: str) -> None:
     lines = [f"# config_hash={cfg_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_stream(path: str, cfg: RunConfig) -> EventStream:

@@ -146,6 +146,16 @@ class MemoryStore:
         return store
 
 
+def endpoint_order(batch: EventBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, other) per endpoint in event order, src before dst.
+
+    Event i is entries 2i (src, dst) and 2i + 1 (dst, src).
+    """
+    owners = np.stack([batch.src, batch.dst], axis=1).reshape(-1)
+    others = np.stack([batch.dst, batch.src], axis=1).reshape(-1)
+    return owners, others
+
+
 class NeighborCache:
     """Per-node ring buffer of the k most recent (neighbor, time, features).
 
@@ -171,8 +181,7 @@ class NeighborCache:
         Only each node's last k appends survive, and those land in distinct
         slots, so the writes replay the sequential order exactly.
         """
-        owners = np.stack([batch.src, batch.dst], axis=1).reshape(-1)
-        others = np.stack([batch.dst, batch.src], axis=1).reshape(-1)
+        owners, others = endpoint_order(batch)
         order = np.argsort(owners, kind="stable")
         owner = owners[order]
         nodes, first, appends = np.unique(owner, return_index=True, return_counts=True)
@@ -309,9 +318,8 @@ class TgnModel:
         hi = max(int(batch.src.max()), int(batch.dst.max()))
         if hi >= store.num_nodes:
             raise ContractError(f"event endpoint {hi} >= store capacity {store.num_nodes}")
-        # Endpoints in event order, src before dst; the last entry per node wins.
-        owners = np.stack([batch.src, batch.dst], axis=1).reshape(-1)
-        others = np.stack([batch.dst, batch.src], axis=1).reshape(-1)
+        # The last entry per node wins.
+        owners, others = endpoint_order(batch)
         selfs, from_end = np.unique(owners[::-1], return_index=True)
         pos = len(owners) - 1 - from_end
         rows = pos // 2

@@ -5,7 +5,9 @@ stays inside the acceptance margins; these pins can. They cover raw window
 features of the desk train stream, the trained state `fit` returns (model
 parameters, final memory and neighbor cache) and every record (minus
 wall-clock timing) plus the training history of the acceptance benchmark,
-seed 1.
+seed 1. The benchmark's split is two-way, so a three-community desk stream
+pins `fit` with a validation stream: early stopping and the best-epoch
+restore.
 
 A different numpy or BLAS build may legitimately change the last bits, so the
 pins are keyed by numpy version and BLAS name, and an unpinned platform skips
@@ -17,6 +19,7 @@ to pin a new one, or to re-pin after a deliberate numeric change):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -40,6 +43,7 @@ PINS = {
         "record.warm_start": "918adc2cea75982968d9287fb8263fe95a5d271c2d80113f541dd800ebfc3e8f",
         "record.structural_mapping": "a2bd153893e1ef66fc330d0e5f89a7f494c8cf8a088990dca9ae6f9ddcbb0a20",
         "epoch_history": "e660d67c71677a43f8be3de3a11577914199419e67e9b981f051a7f6bbed27c2",
+        "fit_with_validation": "f7914c8718feb25dacd38dc9a616a739330b19a6f8cdcf805cbcdf984a7db17a",
     },
 }
 
@@ -106,6 +110,36 @@ def fit_digest() -> str:
     )
 
 
+def fit_with_validation_digest() -> str:
+    """History and trained state of a desk `fit` that stops early and restores its best epoch.
+
+    Three communities give a validation stream; with `patience=1` seed 1
+    stops after four of five epochs and restores epoch 1.
+    """
+    seed = BENCHMARK_SEEDS[0]
+    generator = dataclasses.replace(BENCHMARK.generator, num_communities=3)
+    stream = generate_synthetic(generator, child_rng(seed, "generate"))
+    assignment = louvain(aggregate_static(stream), child_rng(seed, "louvain"))
+    split = make_transfer_split(stream, assignment, BENCHMARK.balance_tolerance)
+    trained = fit(
+        split.train,
+        split.val,
+        BENCHMARK.model,
+        dataclasses.replace(BENCHMARK.train, patience=1),
+        seed,
+        eval_negatives=BENCHMARK.eval_negatives,
+        ks=BENCHMARK.hits_ks,
+    )
+    return _sha(
+        {
+            "epoch_history": trained.epoch_history,
+            "params": trained.model.state_dict(),
+            "memory": trained.store.to_dict(),
+            "neighbor_cache": trained.cache.to_dict(),
+        }
+    )
+
+
 def sweep_digests(result) -> dict[str, str]:
     """One digest per scenario record (minus `timing`) and one of the history."""
     out = {}
@@ -133,17 +167,26 @@ def test_fit_pinned(pins):
     assert fit_digest() == pins["fit"]
 
 
+def test_fit_with_validation_pinned(pins):
+    assert fit_with_validation_digest() == pins["fit_with_validation"]
+
+
 def test_benchmark_seed_one_pinned(pins, benchmark_sweep):
     sweep, _ = benchmark_sweep
     result = sweep.results[0]
     assert result.seed == BENCHMARK_SEEDS[0] and result.error is None
     got = sweep_digests(result)
-    assert got == {k: v for k, v in pins.items() if k not in ("window_features", "fit")}
+    own = ("window_features", "fit", "fit_with_validation")
+    assert got == {k: v for k, v in pins.items() if k not in own}
 
 
 if __name__ == "__main__":
     from tglink.transfer import run_experiment
 
-    digests = {"window_features": window_features_digest(), "fit": fit_digest()}
+    digests = {
+        "window_features": window_features_digest(),
+        "fit": fit_digest(),
+        "fit_with_validation": fit_with_validation_digest(),
+    }
     digests.update(sweep_digests(run_experiment(BENCHMARK, BENCHMARK_SEEDS[0])))
     print(f"{platform()!r}: {json.dumps(digests, indent=4)},")

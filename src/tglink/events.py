@@ -212,18 +212,18 @@ class EventBatch:
         return (self.stream.event(i) for i in range(self.start, self.stop))
 
 
-def make_batches(stream: EventStream, batch_size: int) -> list[EventBatch]:
-    """Consecutive non-overlapping batches covering the stream in order.
+def make_batches(
+    stream: EventStream, batch_size: int, start: int = 0, stop: int | None = None
+) -> list[EventBatch]:
+    """Consecutive non-overlapping batches covering events [start, stop) in order.
 
-    All batches hold `batch_size` events except possibly the last. An empty
-    stream yields an empty list.
+    `stop` defaults to the end of the stream. All batches hold `batch_size`
+    events except possibly the last. An empty range yields an empty list.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-    return [
-        EventBatch(stream, lo, min(lo + batch_size, len(stream)))
-        for lo in range(0, len(stream), batch_size)
-    ]
+    stop = len(stream) if stop is None else stop
+    return [EventBatch(stream, lo, min(lo + batch_size, stop)) for lo in range(start, stop, batch_size)]
 
 
 def sample_negatives(

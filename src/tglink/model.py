@@ -531,6 +531,78 @@ class EpochStats:
         return float(np.mean(self.tlp_losses)) if self.tlp_losses else float("nan")
 
 
+def stream_batches(model: TgnModel, state: RunState, batches, step, want_caches: bool = False) -> None:
+    """The batch protocol every per-batch loop runs: training, replay, evaluation.
+
+    Per batch: apply the pending batch to the memory, call
+    `step(batch, flush_record)` on strictly pre-batch state, then queue the
+    batch for the next flush and extend the neighbor cache. This is the one
+    place a batch enters the state, so no batch can reach its own
+    predictions. `flush_record` is the flush's backward cache when
+    `want_caches`, else None. The last batch stays pending. A DivergenceError
+    in a batch's flush or step is re-raised with that batch's index.
+    """
+    for bi, batch in enumerate(batches):
+        try:
+            step(batch, model.flush_pending(state, want_caches=want_caches))
+        except DivergenceError as err:
+            raise DivergenceError(str(err), batch_index=bi) from None
+        state.pending = batch
+        state.cache.insert_batch(batch)
+
+
+def train_batches(
+    model: TgnModel,
+    optimizer,
+    state: RunState,
+    batches: list[EventBatch],
+    negatives: int,
+    rng: np.random.Generator,
+    structmap_trainer=None,
+) -> EpochStats:
+    """One optimizer step per batch, in order; training and fine-tuning share it.
+
+    Per batch: sample `negatives` per event, predict from pre-batch state,
+    backprop (optionally with the alpha-weighted structural regression)
+    through the predictions and the flush that built the pre-batch memory,
+    and step the optimizer.
+    """
+    stats = EpochStats()
+
+    def step(batch: EventBatch, flush_rec) -> None:
+        num_nodes = batch.stream.num_nodes
+        negs = sample_negatives(batch, num_nodes, negatives, rng)
+        fwd = forward_batch(model, batch, negs, state, want_caches=True)
+        total = fwd.tlp_loss
+        sm_loss = 0.0
+        sm_cache = None
+        sm_nodes = None
+        if structmap_trainer is not None:
+            sm_loss, sm_cache, sm_nodes = structmap_trainer.loss_for_batch(batch, state)
+            alpha = structmap_trainer.params.alpha
+            if alpha != 0.0:
+                total = total + alpha * sm_loss
+        if not np.isfinite(total):
+            raise DivergenceError("non-finite training loss")
+
+        model.zero_grad()
+        if structmap_trainer is not None:
+            structmap_trainer.zero_grad()
+        dmem = backward_batch(model, fwd, num_nodes)
+        if structmap_trainer is not None and structmap_trainer.params.alpha != 0.0:
+            d_targets = structmap_trainer.backward(sm_cache)
+            if structmap_trainer.coupled:
+                np.add.at(dmem, np.array(sm_nodes, dtype=np.int64), d_targets)
+        model.flush_backward(flush_rec, dmem)
+        optimizer.step()
+        stats.tlp_losses.append(fwd.tlp_loss)
+        stats.structmap_losses.append(float(sm_loss))
+        stats.total_losses.append(float(total))
+
+    stream_batches(model, state, batches, step, want_caches=True)
+    return stats
+
+
 def train_epoch(
     stream: EventStream,
     state: RunState,
@@ -541,50 +613,10 @@ def train_epoch(
     rng: np.random.Generator,
     structmap_trainer=None,
 ) -> EpochStats:
-    """One chronological pass with per-batch updates.
-
-    Per batch: apply pending memory updates, sample negatives, predict from
-    pre-batch state, backprop (optionally with the alpha-weighted structural
-    regression), step the optimizer, then queue the batch for the next flush
-    and extend the neighbor cache.
-    """
-    stats = EpochStats()
-    for bi, batch in enumerate(make_batches(stream, batch_size)):
-        try:
-            flush_rec = model.flush_pending(state, want_caches=True)
-            negs = sample_negatives(batch, stream.num_nodes, train_negatives, rng)
-            fwd = forward_batch(model, batch, negs, state, want_caches=True)
-            total = fwd.tlp_loss
-            sm_loss = 0.0
-            sm_cache = None
-            sm_nodes = None
-            if structmap_trainer is not None:
-                sm_loss, sm_cache, sm_nodes = structmap_trainer.loss_for_batch(batch, state)
-                alpha = structmap_trainer.params.alpha
-                if alpha != 0.0:
-                    total = total + alpha * sm_loss
-            if not np.isfinite(total):
-                raise DivergenceError("non-finite training loss")
-
-            model.zero_grad()
-            if structmap_trainer is not None:
-                structmap_trainer.zero_grad()
-            dmem = backward_batch(model, fwd, stream.num_nodes)
-            if structmap_trainer is not None and structmap_trainer.params.alpha != 0.0:
-                d_targets = structmap_trainer.backward(sm_cache)
-                if structmap_trainer.coupled:
-                    np.add.at(dmem, np.array(sm_nodes, dtype=np.int64), d_targets)
-            model.flush_backward(flush_rec, dmem)
-            optimizer.step()
-        except DivergenceError as err:
-            raise DivergenceError(str(err), batch_index=bi) from None
-
-        state.pending = batch
-        state.cache.insert_batch(batch)
-        stats.tlp_losses.append(fwd.tlp_loss)
-        stats.structmap_losses.append(float(sm_loss))
-        stats.total_losses.append(float(total))
-    return stats
+    """One chronological pass over `stream` in batches of `batch_size`."""
+    return train_batches(
+        model, optimizer, state, make_batches(stream, batch_size), train_negatives, rng, structmap_trainer
+    )
 
 
 # ----- parameter accounting -----

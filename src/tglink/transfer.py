@@ -30,9 +30,10 @@ from .model import (
     NeighborCache,
     RunState,
     TgnModel,
-    backward_batch,
     bce_loss,
     forward_batch,
+    stream_batches,
+    train_batches,
     train_epoch,
 )
 from .nn import Adam
@@ -212,32 +213,36 @@ class StructMapDeployment:
     train_span: float
 
 
-def _cold_start_pending(
+def _cold_start_batch(
     state: RunState,
-    window_end: float,
+    batch: EventBatch,
     structmap: StructMapDeployment,
     features: WindowFeatures,
     record: MetricsRecord,
 ) -> None:
-    """Initialize never-seen nodes of the pending batch before it is applied.
+    """Initialize the batch's never-seen nodes before the batch is queued.
 
     A node's first event triggers its cold start: just before that event
     enters the memory, the row is predicted from the node's features on the
-    window ending at the applying batch's start, which contains the node's
-    first edges. The row timestamp is the node's first event time, so elapsed
-    times stay non-negative and last_update stays monotone.
+    window ending where the next batch starts (just after the last event for
+    the stream's last batch), which contains the node's first edges. The row
+    timestamp is the node's first event time, so elapsed times stay
+    non-negative and last_update stays monotone.
     """
-    if state.pending is None:
-        return
-    pending = state.pending
+    stream = batch.stream
     first_seen: dict[int, float] = {}
-    for i in range(pending.start, pending.stop):
-        t = float(pending.stream.timestamps[i])
-        for n in (int(pending.stream.src[i]), int(pending.stream.dst[i])):
+    for i in range(batch.start, batch.stop):
+        t = float(stream.timestamps[i])
+        for n in (int(stream.src[i]), int(stream.dst[i])):
             if not state.store.seen(n) and n not in first_seen:
                 first_seen[n] = t
     if not first_seen:
         return
+    window_end = (
+        float(stream.timestamps[batch.stop])
+        if batch.stop < len(stream)
+        else np.nextafter(batch.batch_end_time, np.inf)
+    )
     nodes = sorted(first_seen)
     raw = features.rows(window_end, nodes)
     for n, row in zip(nodes, raw):
@@ -259,7 +264,10 @@ def evaluate_stream(
 
     `structmap` turns on cold starts of newly appearing nodes and per-batch
     structural-regression loss logging. Both read the batch's window through
-    one `WindowFeatures`, so each window is computed once for the two.
+    one `WindowFeatures`, so each window is computed once for the two. Cold
+    starts cover the nodes of `batches` only, not those of a batch already
+    pending in `state`; only `run_transfer` sets `structmap`, and it always
+    passes a fresh state.
     """
     features = (
         WindowFeatures(stream, structmap.window_fraction, structmap.train_span, model.config.d_p)
@@ -268,10 +276,8 @@ def evaluate_stream(
     )
     all_pos: list[np.ndarray] = []
     all_neg: list[np.ndarray] = []
-    for batch in batches:
-        if structmap is not None:
-            _cold_start_pending(state, batch.batch_start_time, structmap, features, record)
-        model.flush_pending(state)
+
+    def step(batch: EventBatch, _) -> None:
         negs = negatives[batch.start : batch.stop]
         fwd = forward_batch(model, batch, negs, state)
         # Per-batch loss is the training objective on this batch: BCE over
@@ -281,7 +287,7 @@ def evaluate_stream(
         labels = np.concatenate([np.ones(len(batch)), np.zeros(len(batch))])
         batch_loss = bce_loss(probs, labels)
         if not np.isfinite(batch_loss):
-            raise DivergenceError("non-finite evaluation loss", batch_index=len(record.batch_tlp_loss))
+            raise DivergenceError("non-finite evaluation loss")
         sm_loss = 0.0
         total = batch_loss
         if structmap is not None:
@@ -297,12 +303,10 @@ def evaluate_stream(
         record.batch_total_loss.append(float(total))
         all_pos.append(fwd.pos_probs)
         all_neg.append(fwd.neg_probs)
-        state.pending = batch
-        state.cache.insert_batch(batch)
-    if structmap is not None and state.pending is not None:
-        _cold_start_pending(
-            state, np.nextafter(state.pending.batch_end_time, np.inf), structmap, features, record
-        )
+        if structmap is not None:
+            _cold_start_batch(state, batch, structmap, features, record)
+
+    stream_batches(model, state, batches, step)
     model.flush_pending(state)
     if all_pos:
         mrr, hits, _ = compute_ranking_metrics(
@@ -470,36 +474,18 @@ def run_transfer(
         n_ft = int(np.floor(scenario.finetune_fraction * n_events))
         eval_start = n_ft
         if n_ft > 0:
-            ft_batches = [
-                EventBatch(test_stream, lo, min(lo + batch_size, n_ft))
-                for lo in range(0, n_ft, batch_size)
-            ]
+            ft_batches = make_batches(test_stream, batch_size, 0, n_ft)
             record.finetune_cutoff_time = float(test_stream.timestamps[n_ft - 1])
             record.finetune_event_range = (0, n_ft)
             if scenario.finetune_parameters:
                 optimizer = Adam(model.parameters(), lr=3e-4 if finetune_lr is None else finetune_lr)
                 ft_rng = child_rng(seed, "finetune-negatives")
-                for batch in ft_batches:
-                    flush_rec = model.flush_pending(state, want_caches=True)
-                    negs = sample_negatives(batch, test_stream.num_nodes, 1, ft_rng)
-                    fwd = forward_batch(model, batch, negs, state, want_caches=True)
-                    if not np.isfinite(fwd.tlp_loss):
-                        raise DivergenceError(
-                            "non-finite fine-tuning loss", batch_index=len(record.finetune_batch_loss)
-                        )
-                    model.zero_grad()
-                    dmem = backward_batch(model, fwd, test_stream.num_nodes)
-                    model.flush_backward(flush_rec, dmem)
-                    optimizer.step()
-                    record.finetune_batch_loss.append(float(fwd.tlp_loss))
-                    state.pending = batch
-                    state.cache.insert_batch(batch)
+                stats = train_batches(model, optimizer, state, ft_batches, 1, ft_rng)
+                record.finetune_batch_loss = stats.tlp_losses
                 record.optimizer_steps = optimizer.steps
             else:
-                for batch in ft_batches:
-                    model.flush_pending(state)
-                    state.pending = batch
-                    state.cache.insert_batch(batch)
+                # Frozen parameters: the batches only build memory and neighbors.
+                stream_batches(model, state, ft_batches, lambda batch, flush_record: None)
     elif scenario.kind == "structural_mapping":
         if structmap is None or trained.standardizer is None:
             raise ContractError(
@@ -515,10 +501,7 @@ def run_transfer(
             structmap, trained.standardizer, alpha, w, trained.train_span
         )
 
-    eval_batches = [
-        EventBatch(test_stream, lo, min(lo + batch_size, n_events))
-        for lo in range(eval_start, n_events, batch_size)
-    ]
+    eval_batches = make_batches(test_stream, batch_size, eval_start)
     if not eval_batches:
         raise ValidationError("scenario leaves no events to evaluate")
     record.eval_event_range = (eval_start, n_events)

@@ -19,6 +19,7 @@ from tglink.model import (
     backward_batch,
     count_parameters,
     forward_batch,
+    stream_batches,
     train_epoch,
 )
 from tglink.nn import Adam, MlpSpec, grad_check
@@ -349,6 +350,71 @@ class TestLeakageGuard:
         again = forward_batch(model, target, negs, copy_state(model, state))
         assert np.array_equal(before.pos_probs, again.pos_probs)
         assert np.array_equal(before.neg_probs, again.neg_probs)
+
+
+class TestStreamBatches:
+    """The one batch protocol: step i sees exactly batches < i, then batch i is queued."""
+
+    def _setup(self):
+        model = tiny_model(seed=3)
+        stream = random_stream(np.random.default_rng(12), 7, 30)
+        return model, make_batches(stream, 6), fresh_state(model, 7)
+
+    def test_step_sees_exactly_the_earlier_batches(self):
+        model, batches, state = self._setup()
+        seen = []
+
+        def step(batch, flush_record):
+            assert state.pending is None and flush_record is None
+            seen.append((batch, state.store.snapshot(), state.cache.copy()))
+
+        stream_batches(model, state, batches, step)
+        assert [b for b, _, _ in seen] == batches
+        assert state.pending is batches[-1]
+        # Reference: apply each earlier batch eagerly, insert it into a fresh cache.
+        store = MemoryStore(7, model.config.d_m)
+        cache = NeighborCache(7, model.config.num_neighbors, model.config.d_e)
+        for batch, (memory, last_update), got_cache in seen:
+            assert np.array_equal(memory, store.memory)
+            assert np.array_equal(last_update, store.last_update)
+            assert json.dumps(got_cache.to_dict()) == json.dumps(cache.to_dict())
+            model.update_memory(store, model.compute_messages(batch, store))
+            cache.insert_batch(batch)
+        assert json.dumps(state.cache.to_dict()) == json.dumps(cache.to_dict())
+
+    def test_flush_record_when_caches_wanted(self):
+        model, batches, state = self._setup()
+        records = []
+        stream_batches(model, state, batches, lambda b, rec: records.append(rec), want_caches=True)
+        assert records[0] is None
+        assert all(rec is not None for rec in records[1:])
+
+    def test_step_divergence_carries_batch_index(self):
+        model, batches, state = self._setup()
+
+        def step(batch, _):
+            if batch is batches[2]:
+                raise DivergenceError("non-finite loss")
+
+        with pytest.raises(DivergenceError) as exc:
+            stream_batches(model, state, batches, step)
+        assert exc.value.batch_index == 2
+        assert str(exc.value) == "batch 2: non-finite loss"
+        # The failing batch is neither queued nor inserted.
+        assert state.pending is None
+        assert state.cache.count.sum() == 2 * (batches[1].stop)
+
+    def test_flush_divergence_carries_next_batch_index(self):
+        model, batches, state = self._setup()
+
+        def step(batch, _):
+            if batch is batches[1]:
+                for _, p in model.updater.parameters():
+                    p.values[:] = np.nan
+
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
+            stream_batches(model, state, batches, step)
+        assert exc.value.batch_index == 2
 
 
 class TestTrainEpoch:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tglink import features, transfer
-from tglink.errors import ContractError, ValidationError
+from tglink.errors import ContractError, DivergenceError, ValidationError
 from tglink.events import EventStream, GeneratorSpec, make_batches
 from tglink.features import WindowFeatures, structural_feature_matrix
 from tglink.graphs import aggregate_window
@@ -18,13 +18,14 @@ from tglink.transfer import (
     TrainConfig,
     TransferScenario,
     compute_ranking_metrics,
+    evaluate_stream,
     fit,
     run_experiment,
     run_transfer,
     seed_sweep,
 )
 
-from helpers import random_stream
+from helpers import fresh_state, random_stream
 from oracles import rank_oracle
 
 SMALL_MODEL = ModelConfig(
@@ -325,6 +326,22 @@ class TestWindowFeaturesComputedOnce:
         trainer = StructMapTrainer(params, rows)
         for batch, raw in zip(batches, uncached):
             assert np.array_equal(trainer.batch_features(batch)[1], want.apply(raw))
+
+
+class TestEvaluateStream:
+    def test_flush_divergence_carries_batch_index(self, trained_small, test_stream_small):
+        model, _ = trained_small.clone_models()
+        for _, p in model.updater.parameters():
+            p.values[:] = np.nan
+        batches = make_batches(test_stream_small, 30)
+        negatives = np.zeros((len(test_stream_small), 1), dtype=np.int64)
+        record = MetricsRecord(scenario="validation", seed=0)
+        state = fresh_state(model, test_stream_small.num_nodes)
+        # Batch 0 reads the zero memory; applying it before batch 1 diverges.
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
+            evaluate_stream(model, test_stream_small, batches, state, negatives, (1,), record)
+        assert exc.value.batch_index == 1
+        assert len(record.batch_tlp_loss) == 1
 
 
 class TestFit:

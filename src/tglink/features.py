@@ -242,11 +242,6 @@ class FeatureStandardizer:
         out = np.subtract(raw, self.mean, out=out)
         return np.divide(out, self.sigma, out=out)
 
-    def apply_vector(self, fv: StructuralFeatureVector) -> StructuralFeatureVector:
-        if fv.standardized:
-            raise ContractError("feature vector is already standardized")
-        return StructuralFeatureVector(self.apply(fv.values), standardized=True)
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "sigma": self.sigma.tolist()}
 

@@ -18,7 +18,7 @@ import logging
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .features import FeatureStandardizer, StructuralFeatureVector, WindowFeatures
+from .features import FeatureStandardizer, WindowFeatures
 from .nn import Mlp, MlpSpec, Tensor
 
 log = logging.getLogger(__name__)
@@ -78,14 +78,6 @@ class StructMapParams:
 
     def backward(self, cache: list, dout: np.ndarray) -> np.ndarray:
         return self.mlp.backward(cache, dout)
-
-
-def structmap_forward(params: StructMapParams, features: StructuralFeatureVector) -> np.ndarray:
-    """Predicted memory vector for one standardized feature vector."""
-    if not features.standardized:
-        raise ContractError("structmap input must be standardized features")
-    out, _ = params.forward(features.values)
-    return out[0]
 
 
 def structmap_loss(
@@ -192,7 +184,7 @@ def cold_start(
     if store.seen(node):
         log.info("cold_start skipped: node %d already initialized", node)
         return False
-    std = standardizer.apply_vector(StructuralFeatureVector(raw))
-    store.memory[node] = structmap_forward(sm_params, std)
+    out, _ = sm_params.forward(standardizer.apply(raw))
+    store.memory[node] = out[0]
     store.last_update[node] = t
     return True

@@ -238,15 +238,13 @@ class TestStandardizer:
         assert out.mean(axis=0) == pytest.approx(np.zeros(9), abs=1e-9)
         assert out.std(axis=0) == pytest.approx(np.ones(9), abs=1e-9)
 
-    def test_vector_api_flags(self):
-        from tglink.features import StructuralFeatureVector
-
-        s = FeatureStandardizer.fit(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        fv = StructuralFeatureVector(np.array([1.0, 2.0]))
-        std = s.apply_vector(fv)
-        assert std.standardized
-        with pytest.raises(ContractError):
-            s.apply_vector(std)
+    def test_single_row_matches_matrix(self):
+        rng = np.random.default_rng(2)
+        mat = rng.normal(1.0, 4.0, size=(12, 5))
+        s = FeatureStandardizer.fit(mat)
+        whole = s.apply(mat)
+        for i, row in enumerate(mat):
+            assert np.array_equal(s.apply(row), whole[i])
 
     def test_round_trip(self):
         s = FeatureStandardizer.fit(np.random.default_rng(1).normal(size=(20, 4)))

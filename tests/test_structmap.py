@@ -7,7 +7,6 @@ from tglink.errors import ContractError, ValidationError
 from tglink.events import make_batches
 from tglink.features import (
     FeatureStandardizer,
-    StructuralFeatureVector,
     WindowFeatures,
     structural_feature_matrix,
 )
@@ -19,7 +18,6 @@ from tglink.structmap import (
     StructMapTrainer,
     cold_start,
     fit_window_standardizer,
-    structmap_forward,
     structmap_loss,
     structmap_loss_backward,
 )
@@ -54,20 +52,16 @@ class TestStructMapForward:
             w.values[:] = 0.0
         for b in sm.mlp.biases:
             b.values[:] = 0.0
-        fv = StructuralFeatureVector(np.ones(D_S), standardized=True)
-        assert structmap_forward(sm, fv) == pytest.approx(np.zeros(4))
+        out, _ = sm.forward(np.ones((1, D_S)))
+        assert out[0] == pytest.approx(np.zeros(4))
 
     def test_zero_features_bias_path(self):
         sm = make_params(seed=3)
-        fv = StructuralFeatureVector(np.zeros(D_S), standardized=True)
-        out = structmap_forward(sm, fv)
+        # A one-dimensional row, as a cold start passes it, is one input row.
+        out, _ = sm.forward(np.zeros(D_S))
         manual, _ = sm.forward(np.zeros((1, D_S)))
-        assert out == pytest.approx(manual[0])
-
-    def test_rejects_unstandardized(self):
-        sm = make_params()
-        with pytest.raises(ContractError):
-            structmap_forward(sm, StructuralFeatureVector(np.ones(D_S)))
+        assert out.shape == (1, 4)
+        assert np.array_equal(out, manual)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
@@ -200,11 +194,20 @@ class TestColdStart:
         scaler = identity_scaler()
         applied = cold_start(store, 4, window_row(self._window(), 4), 3.0, scaler, sm)
         assert applied
-        expected = structmap_forward(
-            sm, StructuralFeatureVector(np.zeros(D_S), standardized=True)
-        )
-        assert store.memory[4] == pytest.approx(expected)
+        expected, _ = sm.forward(np.zeros((1, D_S)))
+        assert store.memory[4] == pytest.approx(expected[0])
         assert store.last_update[4] == 3.0
+
+    def test_standardizes_raw_row(self):
+        sm = make_params(seed=10)
+        store = MemoryStore(3, 4)
+        scaler = FeatureStandardizer(np.arange(D_S) * 0.5, np.arange(1, D_S + 1) * 2.0)
+        raw = window_row(self._window(), 1)
+        assert cold_start(store, 1, raw, 2.0, scaler, sm)
+        expected, _ = sm.forward(scaler.apply(raw[None, :]))
+        assert np.array_equal(store.memory[1], expected[0])
+        unscaled, _ = sm.forward(raw[None, :])
+        assert not np.array_equal(store.memory[1], unscaled[0])
 
     def test_identical_neighborhoods_identical_memories(self):
         sm = make_params(seed=7)

@@ -1,9 +1,10 @@
 """Versioned JSON checkpoints.
 
 A checkpoint bundles model parameters, the structural-map head, the feature
-standardizer, the final training-time memory/neighbor state, optimizer and
-RNG state, and the run's config hash. Floats survive the JSON round trip
-exactly (repr-based encoding).
+standardizer, the final training-time memory/neighbor state, the per-epoch
+history and the run's config hash. Floats survive the JSON round trip exactly
+(repr-based encoding). Version 1 files also held optimizer and RNG state,
+which nothing read; loading ignores them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .structmap import StructMapParams
 from .transfer import TrainedModel
 
 FORMAT = "tglink-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -45,8 +46,6 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
         "standardizer": trained.standardizer.to_dict() if trained.standardizer else None,
         "memory": trained.store.to_dict(),
         "neighbor_cache": trained.cache.to_dict(),
-        "optimizer_state": trained.optimizer_state,
-        "rng_state": trained.rng_state,
         "epoch_history": trained.epoch_history,
     }
     atomic_write_text(Path(path), json.dumps(payload, sort_keys=True))
@@ -56,7 +55,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != FORMAT:
         raise ValidationError(f"{path}: not a {FORMAT} file")
-    if payload.get("version") != VERSION:
+    if payload.get("version") not in (1, VERSION):
         raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     config = ModelConfig.from_dict(payload["config"])
     span = float(payload["train_span"])
@@ -85,8 +84,6 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         train_span=span,
         store=MemoryStore.from_dict(payload["memory"]),
         cache=NeighborCache.from_dict(payload["neighbor_cache"]),
-        optimizer_state=payload["optimizer_state"],
-        rng_state=payload["rng_state"],
         epoch_history=payload["epoch_history"],
         seed=int(payload["seed"]),
         config_hash=payload.get("config_hash", ""),

@@ -422,26 +422,6 @@ class Adam:
             v_hat = self.v[i] / correct2
             p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.tolist() for m in self.m],
-            "v": [v.tolist() for v in self.v],
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
-        self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-
 
 @dataclass
 class GradCheckFailure:

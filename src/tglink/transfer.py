@@ -167,8 +167,6 @@ class TrainedModel:
     train_span: float
     store: MemoryStore
     cache: NeighborCache
-    optimizer_state: dict
-    rng_state: dict
     epoch_history: list[dict] = field(default_factory=list)
     seed: int = 0
     config_hash: str = ""
@@ -433,8 +431,6 @@ def fit(
         train_span=span,
         store=final_state.store,
         cache=final_state.cache,
-        optimizer_state=optimizer.state_dict(),
-        rng_state=train_rng.bit_generator.state,
         epoch_history=history,
         seed=seed,
         config_hash=config_hash,

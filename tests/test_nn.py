@@ -312,18 +312,6 @@ class TestAdam:
         with pytest.raises(DivergenceError):
             opt.step()
 
-    def test_state_round_trip(self):
-        p = Tensor(np.array([1.0, -1.0]))
-        opt = Adam([("p", p)], lr=0.01)
-        p.zero_grad()
-        p.accumulate(np.array([0.5, -0.5]))
-        opt.step()
-        state = opt.state_dict()
-        opt2 = Adam([("p", p)], lr=0.5)
-        opt2.load_state_dict(state)
-        assert opt2.t == 1 and opt2.lr == 0.01
-        assert np.array_equal(opt2.m[0], opt.m[0])
-
 
 class TestGradCheck:
     def test_flags_wrong_backward(self):

@@ -6,48 +6,24 @@ ingestion and export, chronological batching, uniform negative sampling, and
 a seeded synthetic generator with planted communities and degree-correlated
 node activity.
 
-Node deletions and feature updates are representable event kinds in the wild
-but are rejected at ingestion; only edge additions are modeled.
+Only edge additions are modeled; node deletions and feature updates have no
+representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 
-EVENT_KIND_EDGE_ADDITION = "edge_addition"
-# Reserved kinds; the loader rejects anything but edge additions.
-RESERVED_EVENT_KINDS = ("edge_deletion", "node_deletion", "feature_update")
-
-
-@dataclass(frozen=True)
-class TemporalEvent:
-    """One timestamped edge-addition event with optional edge features."""
-
-    src: int
-    dst: int
-    timestamp: float
-    edge_feat: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValidationError(f"self-loop event on node {self.src}")
-        if self.src < 0 or self.dst < 0:
-            raise ValidationError("node ids must be non-negative")
-        if self.timestamp < 0:
-            raise ValidationError("timestamps must be non-negative")
-
-
 class EventStream:
     """An immutable, time-sorted sequence of events over nodes 0..N-1.
 
-    Internally column-oriented (numpy arrays) so batching and aggregation are
-    cheap; `events` / iteration give a per-event view. `node_labels` retains
+    Column-oriented (numpy arrays) so batching and aggregation are cheap.
+    `node_labels` retains
     the pre-reindexing identity of each dense node id, when one exists.
     """
 
@@ -110,14 +86,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.src)
 
-    def event(self, i: int) -> TemporalEvent:
-        return TemporalEvent(
-            int(self.src[i]), int(self.dst[i]), float(self.timestamps[i]), self.edge_feat[i]
-        )
-
-    def __iter__(self) -> Iterator[TemporalEvent]:
-        return (self.event(i) for i in range(len(self)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
@@ -128,34 +96,6 @@ class EventStream:
             and np.array_equal(self.timestamps, other.timestamps)
             and np.array_equal(self.edge_feat, other.edge_feat)
         )
-
-    @classmethod
-    def from_events(
-        cls, events: Sequence[TemporalEvent], num_nodes: int | None = None
-    ) -> "EventStream":
-        if not events:
-            return cls(
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty(0),
-                np.empty((0, 0)),
-                num_nodes or 0,
-            )
-        d_e = len(events[0].edge_feat)
-        if any(len(e.edge_feat) != d_e for e in events):
-            raise ValidationError("inconsistent edge-feature arity across events")
-        order = np.argsort([e.timestamp for e in events], kind="stable")
-        src = np.array([events[i].src for i in order], np.int64)
-        dst = np.array([events[i].dst for i in order], np.int64)
-        ts = np.array([events[i].timestamp for i in order])
-        feat = (
-            np.array([events[i].edge_feat for i in order], np.float64)
-            if d_e
-            else np.empty((len(events), 0))
-        )
-        if num_nodes is None:
-            num_nodes = int(max(src.max(), dst.max())) + 1
-        return cls(src, dst, ts, feat, num_nodes)
 
     def subset(self, indices: np.ndarray) -> "EventStream":
         """Row subset in stream order, same node index space."""
@@ -207,9 +147,6 @@ class EventBatch:
     @property
     def edge_feat(self) -> np.ndarray:
         return self.stream.edge_feat[self.start : self.stop]
-
-    def __iter__(self) -> Iterator[TemporalEvent]:
-        return (self.stream.event(i) for i in range(self.start, self.stop))
 
 
 def make_batches(

@@ -11,7 +11,6 @@ from tglink.events import (
     EventStream,
     GeneratorSpec,
     IngestionConfig,
-    TemporalEvent,
     generate_synthetic,
     load_csv,
     make_batches,
@@ -26,16 +25,6 @@ def _stream_of(n_events, num_nodes=10, rng=None):
     dst = (src + 1 + rng.integers(0, num_nodes - 1, n_events)) % num_nodes
     ts = np.sort(rng.uniform(0, 100, n_events))
     return EventStream(src, dst, ts, np.empty((n_events, 0)), num_nodes)
-
-
-class TestTemporalEvent:
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValidationError):
-            TemporalEvent(3, 3, 1.0)
-
-    def test_negative_timestamp_rejected(self):
-        with pytest.raises(ValidationError):
-            TemporalEvent(0, 1, -1.0)
 
 
 class TestLoadCsv:

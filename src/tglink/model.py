@@ -531,7 +531,9 @@ class EpochStats:
         return float(np.mean(self.tlp_losses)) if self.tlp_losses else float("nan")
 
 
-def stream_batches(model: TgnModel, state: RunState, batches, step, want_caches: bool = False) -> None:
+def stream_batches(
+    model: TgnModel, state: RunState, batches: list[EventBatch], step, want_caches: bool = False
+) -> None:
     """The batch protocol every per-batch loop runs: training, replay, evaluation.
 
     Per batch: apply the pending batch to the memory, call

@@ -296,13 +296,12 @@ def evaluate_stream(
                 state.store.memory[nodes],
             )
             total = batch_loss + structmap.alpha * sm_loss
+            _cold_start_batch(state, batch, structmap, features, record)
         record.batch_tlp_loss.append(float(batch_loss))
         record.batch_structmap_loss.append(float(sm_loss))
         record.batch_total_loss.append(float(total))
         all_pos.append(fwd.pos_probs)
         all_neg.append(fwd.neg_probs)
-        if structmap is not None:
-            _cold_start_batch(state, batch, structmap, features, record)
 
     stream_batches(model, state, batches, step)
     model.flush_pending(state)

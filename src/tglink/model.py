@@ -546,7 +546,8 @@ def stream_batches(
     """
     for bi, batch in enumerate(batches):
         try:
-            step(batch, model.flush_pending(state, want_caches=want_caches))
+            flush_record = model.flush_pending(state, want_caches=want_caches)
+            step(batch, flush_record)
         except DivergenceError as err:
             raise DivergenceError(str(err), batch_index=bi) from None
         state.pending = batch

@@ -23,8 +23,8 @@ class EventStream:
     """An immutable, time-sorted sequence of events over nodes 0..N-1.
 
     Column-oriented (numpy arrays) so batching and aggregation are cheap.
-    `node_labels` retains
-    the pre-reindexing identity of each dense node id, when one exists.
+    `node_labels` retains the pre-reindexing identity of each dense node id,
+    when one exists.
     """
 
     def __init__(

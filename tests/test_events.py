@@ -109,6 +109,10 @@ class TestBatches:
     def test_sizes(self):
         batches = make_batches(_stream_of(10), 4)
         assert [len(b) for b in batches] == [4, 4, 2]
+        # An event range [start, stop) is cut the same way.
+        ranged = make_batches(_stream_of(10), 4, 3, 9)
+        assert [(b.start, b.stop) for b in ranged] == [(3, 7), (7, 9)]
+        assert [(b.start, b.stop) for b in make_batches(_stream_of(10), 4, 3)] == [(3, 7), (7, 10)]
 
     def test_oversized_batch(self):
         batches = make_batches(_stream_of(10), 100)

@@ -402,7 +402,7 @@ class TestStreamBatches:
         assert str(exc.value) == "batch 2: non-finite loss"
         # The failing batch is neither queued nor inserted.
         assert state.pending is None
-        assert state.cache.count.sum() == 2 * (batches[1].stop)
+        assert state.cache.count.sum() == 2 * batches[1].stop
 
     def test_flush_divergence_carries_next_batch_index(self):
         model, batches, state = self._setup()

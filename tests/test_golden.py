@@ -2,7 +2,8 @@
 
 Run-against-run determinism tests cannot see a silent change of bits that
 stays inside the acceptance margins; these pins can. They cover raw window
-features of the desk train stream, the trained state `fit` returns (model
+features of the desk train stream, the desk generator's streams and their
+Louvain communities for seeds 1-3, the trained state `fit` returns (model
 parameters, final memory and neighbor cache) and every record (minus
 wall-clock timing) plus the training history of the acceptance benchmark,
 seed 1. The benchmark's split is two-way, so a three-community desk stream
@@ -38,6 +39,8 @@ from helpers import BENCHMARK, BENCHMARK_SEEDS
 PINS = {
     ("2.4.6", "scipy-openblas"): {
         "window_features": "9471227276fdf46b57e256200324c91ab6ebc3f8cbaec9caf1ffc982d6ef9beb",
+        "generate_synthetic": "44a31e1b92116d253d41f714926588608086d2679ab292e4223fd579d250c2a1",
+        "louvain": "eb17b659a36ea95451927f4a805b98c3f9a06f3afb72e47f2e7f7e172e0e4563",
         "fit": "228808eee45d8db4c410cbf4763b4dcac1cafa0c15ae0a782948ec5aa0a1c8fe",
         "record.no_warm_start": "f880269e026803d730cd6f466786291dc8efe33c6371d8139a111ac5e5d889cb",
         "record.warm_start": "918adc2cea75982968d9287fb8263fe95a5d271c2d80113f541dd800ebfc3e8f",
@@ -51,6 +54,7 @@ PINS = {
 # and at a ten times wider one, where Brandes sees longer shortest paths.
 WINDOW_BATCHES = 5
 WINDOW_FRACTIONS = (BENCHMARK.model.window_fraction, 10 * BENCHMARK.model.window_fraction)
+DESK_SEEDS = (1, 2, 3)
 
 
 def platform() -> tuple[str, str]:
@@ -67,11 +71,41 @@ def _sha(payload) -> str:
 
 def seed_one_split():
     seed = BENCHMARK_SEEDS[0]
-    stream = generate_synthetic(BENCHMARK.generator, child_rng(seed, "generate"))
+    stream = desk_stream(seed)
     assignment = louvain(aggregate_static(stream), child_rng(seed, "louvain"))
     return make_transfer_split(
         stream, assignment, BENCHMARK.balance_tolerance, allow_two_way=BENCHMARK.allow_two_way
     )
+
+
+def desk_stream(seed: int):
+    return generate_synthetic(BENCHMARK.generator, child_rng(seed, "generate"))
+
+
+def generator_digest() -> str:
+    """Every array, the node count and the labels of the desk streams, seeds 1-3."""
+    h = hashlib.sha256()
+    for seed in DESK_SEEDS:
+        stream = desk_stream(seed)
+        for a in (stream.src, stream.dst, stream.timestamps, stream.edge_feat):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(json.dumps([stream.num_nodes, stream.node_labels]).encode())
+    return h.hexdigest()
+
+
+def louvain_digest() -> str:
+    """Assignment, modularity and phase log of Louvain on the desk streams, seeds 1-3."""
+    out = []
+    for seed in DESK_SEEDS:
+        asg = louvain(aggregate_static(desk_stream(seed)), child_rng(seed, "louvain"))
+        out.append(
+            {
+                "community_of": sorted(asg.community_of.items()),
+                "modularity": asg.modularity,
+                "phase_modularity": list(asg.phase_modularity),
+            }
+        )
+    return _sha(out)
 
 
 def window_features_digest() -> str:
@@ -163,6 +197,14 @@ def test_window_features_pinned(pins):
     assert window_features_digest() == pins["window_features"]
 
 
+def test_generator_pinned(pins):
+    assert generator_digest() == pins["generate_synthetic"]
+
+
+def test_louvain_pinned(pins):
+    assert louvain_digest() == pins["louvain"]
+
+
 def test_fit_pinned(pins):
     assert fit_digest() == pins["fit"]
 
@@ -176,7 +218,7 @@ def test_benchmark_seed_one_pinned(pins, benchmark_sweep):
     result = sweep.results[0]
     assert result.seed == BENCHMARK_SEEDS[0] and result.error is None
     got = sweep_digests(result)
-    own = ("window_features", "fit", "fit_with_validation")
+    own = ("window_features", "generate_synthetic", "louvain", "fit", "fit_with_validation")
     assert got == {k: v for k, v in pins.items() if k not in own}
 
 
@@ -185,6 +227,8 @@ if __name__ == "__main__":
 
     digests = {
         "window_features": window_features_digest(),
+        "generate_synthetic": generator_digest(),
+        "louvain": louvain_digest(),
         "fit": fit_digest(),
         "fit_with_validation": fit_with_validation_digest(),
     }

@@ -120,6 +120,17 @@ def _rwpe(adj: list[list[int]], d_p: int) -> np.ndarray:
     return out
 
 
+def _select_rows(present: np.ndarray, matrix: np.ndarray, nodes) -> np.ndarray:
+    """Rows of `matrix` (one per id of ascending `present`) for `nodes`; zero when absent."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    at = np.searchsorted(present, nodes)
+    hit = at < len(present)
+    hit[hit] = present[at[hit]] == nodes[hit]
+    out = np.zeros((len(nodes), matrix.shape[1]))
+    out[hit] = matrix[at[hit]]
+    return out
+
+
 def structural_feature_matrix(
     g: Graph, d_p: int = 4, nodes: list[int] | None = None
 ) -> tuple[list[int], np.ndarray]:
@@ -128,29 +139,20 @@ def structural_feature_matrix(
     Rows for nodes not present in the graph are zero. One Brandes/BFS sweep
     serves betweenness and closeness together.
     """
-    present = g.nodes()
-    index = {u: i for i, u in enumerate(present)}
-    adj = [[index[v] for v in g.neighbors(u)] for u in present]
-    adj_sets = [set(a) for a in adj]
+    flat = g.indices.tolist()
+    bounds = g.indptr.tolist()
+    adj = [flat[bounds[i] : bounds[i + 1]] for i in range(g.num_nodes)]
 
     betweenness, closeness = _betweenness_closeness(adj)
-    clustering = _clustering(adj_sets)
-    rwpe = _rwpe(adj, d_p)
-    degree = np.array([len(a) for a in adj], dtype=np.float64)
-
+    full = np.empty((len(adj), feature_dim(d_p)))
+    full[:, 0] = np.diff(g.indptr)
+    full[:, 1] = betweenness
+    full[:, 2] = closeness
+    full[:, 3] = _clustering([set(a) for a in adj])
+    full[:, 4:] = _rwpe(adj, d_p)
     if nodes is None:
-        nodes = present
-    mat = np.zeros((len(nodes), feature_dim(d_p)))
-    for row, u in enumerate(nodes):
-        i = index.get(u)
-        if i is None:
-            continue
-        mat[row, 0] = degree[i]
-        mat[row, 1] = betweenness[i]
-        mat[row, 2] = closeness[i]
-        mat[row, 3] = clustering[i]
-        mat[row, 4:] = rwpe[i]
-    return list(nodes), mat
+        return g.ids.tolist(), full
+    return list(nodes), _select_rows(g.ids, full, nodes)
 
 
 class WindowFeatures:
@@ -178,20 +180,14 @@ class WindowFeatures:
         if t_end == self._t_end:
             return
         g = aggregate_window(self.stream, t_end, self.window_fraction, self.train_span)
-        present, self._matrix = structural_feature_matrix(g, self.d_p)
-        self._present = np.array(present, dtype=np.int64)
+        _, self._matrix = structural_feature_matrix(g, self.d_p)
+        self._present = g.ids
         self._t_end = t_end
 
     def rows(self, t_end: float, nodes) -> np.ndarray:
         """Raw rows of `nodes` (any order) on the window ending at `t_end`."""
         self._load(t_end)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        at = np.searchsorted(self._present, nodes)
-        hit = at < len(self._present)
-        hit[hit] = self._present[at[hit]] == nodes[hit]
-        out = np.zeros((len(nodes), self._matrix.shape[1]))
-        out[hit] = self._matrix[at[hit]]
-        return out
+        return _select_rows(self._present, self._matrix, nodes)
 
     def batch_rows(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Regression rows of a batch on the window ending at its start.

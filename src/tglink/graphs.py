@@ -3,6 +3,7 @@
 Two projections are used: the full weighted aggregate (edge weight = event
 multiplicity) that community detection runs on, and unweighted simple graphs
 over a trailing time window, from which structural node features are read.
+Both are `Graph`s: undirected graphs over dense indices in CSR form.
 """
 
 from __future__ import annotations
@@ -14,108 +15,85 @@ from .events import EventStream
 
 
 class Graph:
-    """Undirected simple graph, dict-of-dict adjacency with float weights."""
+    """Undirected simple graph over dense indices, in CSR form.
 
-    def __init__(self):
-        self._adj: dict[int, dict[int, float]] = {}
+    Index i stands for node id `ids[i]`; ids ascend. The neighbors of i are
+    `indices[indptr[i]:indptr[i + 1]]`, ascending, and `weights` holds the
+    float weight of each of those entries. Every edge appears in both rows.
+    """
 
-    def add_node(self, u: int) -> None:
-        self._adj.setdefault(u, {})
+    def __init__(self, ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+        self.ids = ids
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
 
-    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        if u == v:
-            raise ValidationError(f"self-loop on node {u}")
-        row_u = self._adj.setdefault(u, {})
-        row_v = self._adj.setdefault(v, {})
-        row_u[v] = row_u.get(v, 0.0) + weight
-        row_v[u] = row_v.get(u, 0.0) + weight
+    @classmethod
+    def from_edges(cls, src, dst, weights=None, nodes=()) -> "Graph":
+        """Graph of the undirected pairs (src[i], dst[i]) plus isolated `nodes`.
 
-    def has_node(self, u: int) -> bool:
-        return u in self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, {})
+        Repeats of a pair merge into one edge. Its weight is the sum of
+        `weights` over the repeats, or their number when `weights` is None.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        loops = src == dst
+        if loops.any():
+            raise ValidationError(f"self-loop on node {int(src[loops.argmax()])}")
+        ids = np.unique(np.concatenate([src, dst, np.asarray(nodes, dtype=np.int64)]))
+        n = len(ids)
+        a = np.searchsorted(ids, src)
+        b = np.searchsorted(ids, dst)
+        # Pack each pair (lo, hi) into one integer so np.unique merges repeats.
+        packed = np.minimum(a, b) * n + np.maximum(a, b)
+        if weights is None:
+            packed, counts = np.unique(packed, return_counts=True)
+            w = counts.astype(np.float64)
+        else:
+            packed, inverse = np.unique(packed, return_inverse=True)
+            w = np.bincount(inverse.reshape(-1), np.asarray(weights, np.float64), len(packed))
+        lo, hi = np.divmod(packed, max(n, 1))
+        rows = np.concatenate([lo, hi])
+        cols = np.concatenate([hi, lo])
+        order = np.argsort(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(ids, indptr, cols[order], np.concatenate([w, w])[order])
 
     @property
     def num_nodes(self) -> int:
-        return len(self._adj)
+        return len(self.ids)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.indices) // 2
 
-    def nodes(self) -> list[int]:
-        return sorted(self._adj)
-
-    def neighbors(self, u: int) -> list[int]:
-        return sorted(self._adj.get(u, {}))
-
-    def degree(self, u: int) -> int:
-        return len(self._adj.get(u, {}))
-
-    def weight(self, u: int, v: int) -> float:
-        return self._adj.get(u, {}).get(v, 0.0)
-
-    def weighted_degree(self, u: int) -> float:
-        return sum(self._adj.get(u, {}).values())
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        out = []
-        for u in self.nodes():
-            for v, w in sorted(self._adj[u].items()):
-                if u < v:
-                    out.append((u, v, w))
-        return out
-
-    @property
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges())
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(u, v) for u, v, _ in self.edges()}
+    def entry_rows(self) -> np.ndarray:
+        """The row index of each entry of `indices`."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
 
 
 def aggregate_static(stream: EventStream) -> Graph:
     """Weighted aggregate of a whole stream; weight(u,v) = event count."""
     if len(stream) == 0:
         raise ValidationError("cannot aggregate an empty stream")
-    g = Graph()
-    for i in range(len(stream)):
-        g.add_edge(int(stream.src[i]), int(stream.dst[i]), 1.0)
-    return g
+    return Graph.from_edges(stream.src, stream.dst)
 
 
-class WindowGraph(Graph):
-    """Unweighted simple graph over events in a trailing window [lo, hi)."""
-
-    def __init__(self, window_lo: float, window_hi: float):
-        super().__init__()
-        self.window_lo = window_lo
-        self.window_hi = window_hi
-
-
-def aggregate_window(
-    stream: EventStream, t: float, w: float, train_span: float
-) -> WindowGraph:
+def aggregate_window(stream: EventStream, t: float, w: float, train_span: float) -> Graph:
     """Simple graph of edges with timestamp in [t - w*train_span, t).
 
     `w` is the window fraction and `train_span` the reference span it scales;
-    duplicate node pairs collapse to one edge. An empty window is fine and
-    yields an empty graph.
+    duplicate node pairs collapse to one edge of weight 1.0. An empty window
+    is fine and yields an empty graph.
     """
     if not (0 < w <= 1):
         raise ContractError(f"window fraction must be in (0, 1], got {w}")
     if train_span <= 0:
         raise ContractError(f"train_span must be positive, got {train_span}")
-    lo = t - w * train_span
-    g = WindowGraph(lo, t)
-    if len(stream) == 0:
-        return g
     ts = stream.timestamps
-    first = int(np.searchsorted(ts, lo, side="left"))
+    first = int(np.searchsorted(ts, t - w * train_span, side="left"))
     last = int(np.searchsorted(ts, t, side="left"))
-    for i in range(first, last):
-        u, v = int(stream.src[i]), int(stream.dst[i])
-        if not g.has_edge(u, v):
-            g.add_edge(u, v, 1.0)
+    g = Graph.from_edges(stream.src[first:last], stream.dst[first:last])
+    g.weights.fill(1.0)
     return g

@@ -26,27 +26,25 @@ def modularity(graph: Graph, community_of: dict[int, int]) -> float:
     Uses the convention A_uu = 2 * loop weight, degree k_u = sum_v A_uv.
     Kept independent of the Louvain internals so results can be re-checked.
     """
-    nodes = graph.nodes()
+    nodes = graph.ids.tolist()
     if not nodes:
         return 0.0
     missing = [u for u in nodes if u not in community_of]
     if missing:
         raise ValidationError(f"nodes without a community: {missing[:5]}")
-    two_m = sum(graph.weighted_degree(u) for u in nodes)
+    rows = graph.entry_rows()
+    degree = np.bincount(rows, graph.weights, len(nodes))
+    two_m = float(degree.sum())
     if two_m == 0:
         return 0.0
-    internal: dict[int, float] = {}
-    total: dict[int, float] = {}
-    for u in nodes:
-        c = community_of[u]
-        k_u = graph.weighted_degree(u)
-        total[c] = total.get(c, 0.0) + k_u
-        for v in graph.neighbors(u):
-            if community_of[v] == c:
-                internal[c] = internal.get(c, 0.0) + graph.weight(u, v)
+    _, com = np.unique([community_of[u] for u in nodes], return_inverse=True)
+    same = com[rows] == com[graph.indices]
+    internal = np.bincount(com[rows[same]], graph.weights[same], com.max() + 1).tolist()
+    total = np.bincount(com, degree).tolist()
+    # One term per community, in ascending label order.
     q = 0.0
-    for c in sorted(total):
-        q += internal.get(c, 0.0) / two_m - (total[c] / two_m) ** 2
+    for c in range(len(total)):
+        q += internal[c] / two_m - (total[c] / two_m) ** 2
     return q
 
 
@@ -69,50 +67,33 @@ class CommunityAssignment:
         return out
 
 
-class _WorkGraph:
-    """Louvain working graph: symmetric weights plus self-loop weights."""
+def _one_level(g: Graph, loops: np.ndarray, rng: np.random.Generator) -> tuple[list[int], bool]:
+    """Local-move phase: greedy modularity moves until none improves.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.loops = np.zeros(n)
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> tuple["_WorkGraph", list[int]]:
-        nodes = graph.nodes()
-        index = {u: i for i, u in enumerate(nodes)}
-        wg = cls(len(nodes))
-        for u, v, w in graph.edges():
-            wg.adj[index[u]][index[v]] = w
-            wg.adj[index[v]][index[u]] = w
-        return wg, nodes
-
-    def degree(self, i: int) -> float:
-        return sum(self.adj[i].values()) + 2.0 * self.loops[i]
-
-    @property
-    def two_m(self) -> float:
-        return float(sum(sum(a.values()) for a in self.adj) + 2.0 * self.loops.sum())
-
-
-def _one_level(wg: _WorkGraph, rng: np.random.Generator) -> tuple[list[int], bool]:
-    """Local-move phase: greedy modularity moves until none improves."""
-    com = list(range(wg.n))
-    k = np.array([wg.degree(i) for i in range(wg.n)])
+    `loops[i]` is the self-loop weight of supernode i, which counts twice
+    in its degree.
+    """
+    n = g.num_nodes
+    com = list(range(n))
+    k = np.bincount(g.entry_rows(), g.weights, n) + 2.0 * loops
     tot = k.copy()
-    two_m = wg.two_m
+    two_m = float(k.sum())
     if two_m == 0:
         return com, False
+    bounds = g.indptr.tolist()
+    nbrs = g.indices.tolist()
+    weights = g.weights.tolist()
     moved_any = False
     improved = True
     while improved:
         improved = False
-        for i in rng.permutation(wg.n):
+        for i in rng.permutation(n):
             i = int(i)
             old = com[i]
             link_w: dict[int, float] = {}
-            for j, w in wg.adj[i].items():
-                link_w[com[j]] = link_w.get(com[j], 0.0) + w
+            for e in range(bounds[i], bounds[i + 1]):
+                c = com[nbrs[e]]
+                link_w[c] = link_w.get(c, 0.0) + weights[e]
             tot[old] -= k[i]
             best_c, best_gain = old, link_w.get(old, 0.0) - tot[old] * k[i] / two_m
             for c in sorted(link_w):
@@ -129,23 +110,24 @@ def _one_level(wg: _WorkGraph, rng: np.random.Generator) -> tuple[list[int], boo
     return com, moved_any
 
 
-def _coarsen(wg: _WorkGraph, com: list[int]) -> tuple[_WorkGraph, dict[int, int]]:
-    labels = sorted(set(com))
-    remap = {c: i for i, c in enumerate(labels)}
-    new = _WorkGraph(len(labels))
-    for i in range(wg.n):
-        ci = remap[com[i]]
-        new.loops[ci] += wg.loops[i]
-        for j, w in wg.adj[i].items():
-            if j < i:
-                continue
-            cj = remap[com[j]]
-            if ci == cj:
-                new.loops[ci] += w
-            else:
-                new.adj[ci][cj] = new.adj[ci].get(cj, 0.0) + w
-                new.adj[cj][ci] = new.adj[cj].get(ci, 0.0) + w
-    return new, remap
+def _coarsen(
+    g: Graph, loops: np.ndarray, com: list[int]
+) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """One supernode per community, numbered in ascending label order.
+
+    Returns the supernode graph, its loop weights and each node's supernode.
+    """
+    _, supernode = np.unique(com, return_inverse=True)
+    n = int(supernode.max()) + 1
+    rows = g.entry_rows()
+    upper = rows < g.indices  # each edge once
+    a = supernode[rows[upper]]
+    b = supernode[g.indices[upper]]
+    w = g.weights[upper]
+    inside = a == b
+    new_loops = np.bincount(supernode, loops, n) + np.bincount(a[inside], w[inside], n)
+    coarse = Graph.from_edges(a[~inside], b[~inside], w[~inside], nodes=np.arange(n))
+    return coarse, new_loops, supernode
 
 
 def louvain(graph: Graph, rng: np.random.Generator) -> CommunityAssignment:
@@ -153,25 +135,27 @@ def louvain(graph: Graph, rng: np.random.Generator) -> CommunityAssignment:
 
     Iterates local moves and coarsening until no move improves modularity.
     The reported modularity is recomputed on the input graph and the phase
-    sequence is asserted non-decreasing.
+    sequence is asserted non-decreasing. Edge weights are event counts, so
+    every weight sum is exact in any order.
     """
     if graph.num_nodes == 0:
         raise ValidationError("louvain requires at least one node")
-    wg, nodes = _WorkGraph.from_graph(graph)
+    nodes = graph.ids.tolist()
+    level, loops = graph, np.zeros(graph.num_nodes)
     # assignment[i] = current supernode of original node i (by position)
-    assignment = list(range(len(nodes)))
-    phase_log: list[float] = []
+    assignment = np.arange(len(nodes))
 
     def induced() -> dict[int, int]:
-        return {nodes[i]: assignment[i] for i in range(len(nodes))}
+        return dict(zip(nodes, assignment.tolist()))
 
     q_prev = modularity(graph, induced())
+    phase_log: list[float] = []
     while True:
-        com, moved = _one_level(wg, rng)
+        com, moved = _one_level(level, loops, rng)
         if not moved:
             break
-        wg, remap = _coarsen(wg, com)
-        assignment = [remap[com[a]] for a in assignment]
+        level, loops, supernode = _coarsen(level, loops, com)
+        assignment = supernode[assignment]
         q = modularity(graph, induced())
         if q < q_prev - 1e-9:
             raise AssertionError(f"modularity decreased across phase: {q_prev} -> {q}")
@@ -180,10 +164,9 @@ def louvain(graph: Graph, rng: np.random.Generator) -> CommunityAssignment:
             break
         q_prev = q
 
-    final = induced()
-    labels = sorted(set(final.values()), key=lambda c: min(u for u in final if final[u] == c))
-    remap = {c: i for i, c in enumerate(labels)}
-    final = {u: remap[c] for u, c in sorted(final.items())}
+    # Renumber communities by their smallest node; nodes ascend.
+    label: dict[int, int] = {}
+    final = {u: label.setdefault(c, len(label)) for u, c in induced().items()}
     return CommunityAssignment(final, modularity(graph, final), tuple(phase_log))
 
 

@@ -1,11 +1,16 @@
-"""Shared builders for model-level and acceptance tests."""
+"""Shared builders and the finite-difference gradient check for the tests."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
 import numpy as np
 
+from tglink.errors import ValidationError
 from tglink.events import EventStream, GeneratorSpec
 from tglink.model import MemoryStore, ModelConfig, NeighborCache, RunState, TgnModel
+from tglink.nn import Tensor
 from tglink.transfer import ExperimentConfig, TrainConfig
 
 # The desk-scale transfer benchmark: two planted communities of 50 nodes,
@@ -80,3 +85,71 @@ def copy_state(model: TgnModel, state: RunState) -> RunState:
         state.pending,
     )
     return clone
+
+
+@dataclass
+class GradCheckFailure:
+    param: str
+    index: tuple[int, ...]
+    analytic: float
+    numeric: float
+    rel_error: float
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    checked: int
+    failures: list[GradCheckFailure] = field(default_factory=list)
+
+    def passed(self, tolerance: float) -> bool:
+        return self.max_rel_error < tolerance
+
+
+def grad_check(
+    loss_fn: Callable[[], float],
+    params: Sequence[tuple[str, Tensor]],
+    eps: float = 1e-5,
+    tolerance: float = 1e-4,
+    denom_floor: float = 1e-4,
+) -> GradCheckReport:
+    """Central-difference check of the gradients currently stored in `params`.
+
+    Callers run one forward+backward to populate `.grad`, then hand over a
+    pure re-evaluation closure. Relative error per coordinate is
+    |analytic - numeric| / max(|analytic|, |numeric|, denom_floor).
+    """
+    if eps <= 0:
+        raise ValidationError("grad_check eps must be positive")
+    max_rel = 0.0
+    checked = 0
+    failures: list[GradCheckFailure] = []
+    for name, p in params:
+        if p.grad is None:
+            raise ValidationError(f"parameter {name} has no gradient to check")
+        flat = p.values.reshape(-1)
+        gflat = p.grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = loss_fn()
+            flat[i] = orig - eps
+            f_minus = loss_fn()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            analytic = gflat[i]
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), denom_floor)
+            checked += 1
+            if rel > max_rel:
+                max_rel = rel
+            if rel >= tolerance:
+                failures.append(
+                    GradCheckFailure(
+                        name,
+                        np.unravel_index(i, p.values.shape),
+                        float(analytic),
+                        float(numeric),
+                        float(rel),
+                    )
+                )
+    return GradCheckReport(max_rel, checked, failures)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's algorithms: shortest paths
 are enumerated by DFS over Floyd-Warshall distances, walks are enumerated
 recursively, partitions exhaustively, and ranks by pairwise counting. Slow,
 but trustworthy on small inputs. The exceptions are former implementations
-kept as the bitwise references for faster ports of them.
+kept as the bitwise references for faster ports of them. The graph oracles
+read a `tglink.graphs.Graph` only through `RefGraph.of`, a dict-of-dict copy.
 """
 
 from __future__ import annotations
@@ -19,18 +20,73 @@ from tglink.events import EventBatch
 from tglink.graphs import Graph
 
 
+class RefGraph:
+    """Undirected simple graph, dict-of-dict adjacency with float weights.
+
+    The form `tglink.graphs.Graph` had before its CSR form, kept as the
+    reference the CSR form is checked against and the form the oracles read.
+    """
+
+    def __init__(self):
+        self._adj: dict[int, dict[int, float]] = {}
+
+    @classmethod
+    def of(cls, g: Graph) -> "RefGraph":
+        """A copy of `g`, read entry by entry from its CSR arrays."""
+        ref = cls()
+        ids = g.ids.tolist()
+        for i, u in enumerate(ids):
+            ref.add_node(u)
+            for e in range(int(g.indptr[i]), int(g.indptr[i + 1])):
+                ref._adj[u][ids[int(g.indices[e])]] = float(g.weights[e])
+        return ref
+
+    def add_node(self, u: int) -> None:
+        self._adj.setdefault(u, {})
+
+    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
+        if u == v:
+            raise ValidationError(f"self-loop on node {u}")
+        row_u = self._adj.setdefault(u, {})
+        row_v = self._adj.setdefault(v, {})
+        row_u[v] = row_u.get(v, 0.0) + weight
+        row_v[u] = row_v.get(u, 0.0) + weight
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adj.get(u, {})
+
+    def nodes(self) -> list[int]:
+        return sorted(self._adj)
+
+    def neighbors(self, u: int) -> list[int]:
+        return sorted(self._adj.get(u, {}))
+
+    def degree(self, u: int) -> int:
+        return len(self._adj.get(u, {}))
+
+    def weight(self, u: int, v: int) -> float:
+        return self._adj.get(u, {}).get(v, 0.0)
+
+    def edges(self) -> list[tuple[int, int, float]]:
+        out = []
+        for u in self.nodes():
+            for v, w in sorted(self._adj[u].items()):
+                if u < v:
+                    out.append((u, v, w))
+        return out
+
+    def edge_set(self) -> set[tuple[int, int]]:
+        return {(u, v) for u, v, _ in self.edges()}
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
-    g = Graph()
-    for u in range(n):
-        g.add_node(u)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+    """G(n, p) on nodes 0..n-1; isolated nodes stay in the graph."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    src, dst = zip(*pairs) if pairs else ((), ())
+    return Graph.from_edges(src, dst, nodes=range(n))
 
 
-def floyd_warshall(g: Graph, nodes: list[int]) -> np.ndarray:
+def floyd_warshall(g: RefGraph, nodes: list[int]) -> np.ndarray:
     n = len(nodes)
     index = {u: i for i, u in enumerate(nodes)}
     dist = np.full((n, n), np.inf)
@@ -119,6 +175,7 @@ def _closeness(dists: list[np.ndarray], n: int) -> np.ndarray:
 
 def betweenness_oracle(g: Graph) -> dict[int, float]:
     """Sum over unordered pairs of the fraction of shortest paths through v."""
+    g = RefGraph.of(g)
     nodes = g.nodes()
     index = {u: i for i, u in enumerate(nodes)}
     adj = [[index[v] for v in g.neighbors(u)] for u in nodes]
@@ -139,6 +196,7 @@ def betweenness_oracle(g: Graph) -> dict[int, float]:
 
 
 def closeness_oracle(g: Graph) -> dict[int, float]:
+    g = RefGraph.of(g)
     nodes = g.nodes()
     dist = floyd_warshall(g, nodes)
     n = len(nodes)
@@ -155,6 +213,7 @@ def closeness_oracle(g: Graph) -> dict[int, float]:
 
 
 def clustering_oracle(g: Graph) -> dict[int, float]:
+    g = RefGraph.of(g)
     out = {}
     for u in g.nodes():
         nbrs = g.neighbors(u)
@@ -173,6 +232,7 @@ def clustering_oracle(g: Graph) -> dict[int, float]:
 
 def rwpe_oracle(g: Graph, v: int, d_p: int) -> list[float]:
     """Return probabilities by explicit enumeration of all walks from v."""
+    g = RefGraph.of(g)
     out = []
     for steps in range(1, d_p + 1):
         total = 0.0
@@ -194,8 +254,8 @@ def rwpe_oracle(g: Graph, v: int, d_p: int) -> list[float]:
     return out
 
 
-def modularity_oracle(g: Graph, community_of: dict[int, int]) -> float:
-    """Dense-matrix Newman modularity with A_uu = 2 * loop weight."""
+def _dense_adjacency(g: Graph) -> tuple[list[int], np.ndarray]:
+    g = RefGraph.of(g)
     nodes = g.nodes()
     n = len(nodes)
     index = {u: i for i, u in enumerate(nodes)}
@@ -203,6 +263,13 @@ def modularity_oracle(g: Graph, community_of: dict[int, int]) -> float:
     for u, v, w in g.edges():
         a[index[u], index[v]] = w
         a[index[v], index[u]] = w
+    return nodes, a
+
+
+def modularity_oracle(g: Graph, community_of: dict[int, int]) -> float:
+    """Dense-matrix Newman modularity with A_uu = 2 * loop weight."""
+    nodes, a = _dense_adjacency(g)
+    n = len(nodes)
     two_m = a.sum()
     if two_m == 0:
         return 0.0
@@ -234,14 +301,53 @@ def all_partitions(items: list[int]):
     yield from rec(0, [], -1)
 
 
-def best_partition_modularity(g: Graph) -> tuple[float, dict[int, int]]:
+def restricted_growth_strings(n: int) -> np.ndarray:
+    """Every restricted-growth string of length n, one per row.
+
+    Rows come in the order `all_partitions` yields the partitions: string
+    s extends to s + [c] for c = 0..max(s)+1, children in ascending c.
+    """
+    rgs = np.zeros((1, min(n, 1)), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)
+    for _ in range(1, n):
+        fan = top.astype(np.int64) + 2
+        parent = np.repeat(np.arange(len(rgs)), fan)
+        c = (np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)).astype(np.int8)
+        rgs = np.column_stack([rgs[parent], c])
+        top = np.maximum(top[parent], c)
+    return rgs
+
+
+def best_partition_modularity_loop(g: Graph) -> tuple[float, dict[int, int]]:
+    """The best partition by `modularity_oracle` over `all_partitions`."""
     best_q = -np.inf
     best = None
-    for part in all_partitions(g.nodes()):
+    for part in all_partitions(RefGraph.of(g).nodes()):
         q = modularity_oracle(g, part)
         if q > best_q:
             best_q, best = q, part
     return best_q, best
+
+
+def best_partition_modularity(g: Graph) -> tuple[float, dict[int, int]]:
+    """`best_partition_modularity_loop`, vectorised over restricted-growth strings.
+
+    Each partition's sum runs over the same (i, j) terms in the same order
+    as `modularity_oracle`, so the maximum and its partition agree bit for bit.
+    """
+    nodes, a = _dense_adjacency(g)
+    n = len(nodes)
+    parts = restricted_growth_strings(n)
+    q = np.zeros(len(parts))
+    two_m = a.sum()
+    if two_m != 0:
+        k = a.sum(axis=1)
+        for i in range(n):
+            for j in range(n):
+                q += np.where(parts[:, i] == parts[:, j], a[i, j] - k[i] * k[j] / two_m, 0.0)
+        q /= two_m
+    best = int(np.argmax(q))
+    return float(q[best]), dict(zip(nodes, parts[best].tolist()))
 
 
 def pearson_oracle(x: list[float], y: list[float]) -> float:

@@ -34,7 +34,6 @@ from tglink.nn import (
     MlpSpec,
     Tensor,
     TimeEncoder,
-    grad_check,
 )
 from tglink.rngs import child_rng
 from tglink.splitting import louvain, make_transfer_split, modularity
@@ -48,8 +47,17 @@ from tglink.transfer import (
     run_transfer,
 )
 
-from helpers import BENCHMARK, BENCHMARK_SEEDS, copy_state, fresh_state, random_stream, tiny_model
+from helpers import (
+    BENCHMARK,
+    BENCHMARK_SEEDS,
+    copy_state,
+    fresh_state,
+    grad_check,
+    random_stream,
+    tiny_model,
+)
 from oracles import (
+    RefGraph,
     betweenness_oracle,
     closeness_oracle,
     clustering_oracle,
@@ -259,11 +267,12 @@ class TestCriterion3Oracles:
             n = int(rng.integers(2, 13))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.8)))
             nodes, mat = structural_feature_matrix(g, d_p=4)
+            ref = RefGraph.of(g)
             bc = betweenness_oracle(g)
             cc = closeness_oracle(g)
             cl = clustering_oracle(g)
             for row, u in enumerate(nodes):
-                assert mat[row, 0] == g.degree(u)
+                assert mat[row, 0] == ref.degree(u)
                 assert abs(mat[row, 1] - bc[u]) < 1e-9
                 assert abs(mat[row, 2] - cc[u]) < 1e-9
                 assert abs(mat[row, 3] - cl[u]) < 1e-9
@@ -287,7 +296,7 @@ class TestCriterion3Oracles:
                 majority[c] = max(set(labels), key=labels.count)
             hits = sum(
                 1
-                for u in graph.nodes()
+                for u in graph.ids.tolist()
                 if majority[asg.community_of[u]] == planted[u]
             )
             agreements.append(hits / 40.0)

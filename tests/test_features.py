@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglink.errors import ContractError, CorrelationUndefinedError, ValidationError
-from tglink.events import GeneratorSpec, generate_synthetic
+from tglink.events import EventStream, GeneratorSpec, generate_synthetic
 from tglink.features import (
     FeatureStandardizer,
     _betweenness_closeness,
@@ -20,6 +20,7 @@ from tglink.features import (
 from tglink.graphs import Graph, aggregate_static, aggregate_window
 
 from oracles import (
+    RefGraph,
     _brandes_and_distances,
     _closeness,
     betweenness_oracle,
@@ -32,19 +33,84 @@ from oracles import (
 )
 
 
+def window_edge_set(stream, lo: float, hi: float) -> set[tuple[int, int]]:
+    """Brute force: the sorted node pairs of every event with lo <= t < hi."""
+    return {
+        (min(int(s), int(d)), max(int(s), int(d)))
+        for s, d, t in zip(stream.src, stream.dst, stream.timestamps)
+        if lo <= t < hi
+    }
+
+
+@st.composite
+def edge_lists(draw):
+    """Pairs over a few node ids, with repeats, plus extra isolated ids."""
+    ids = draw(st.lists(st.integers(-5, 40), min_size=2, max_size=9, unique=True))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=25))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(pairs), max_size=len(pairs)))
+    isolated = draw(st.lists(st.sampled_from(ids), max_size=3))
+    return pairs, [float(w) for w in weights], isolated
+
+
+class TestGraph:
+    """The CSR graph against the dict-of-dict reference: nodes, neighbor order, weights."""
+
+    @staticmethod
+    def assert_same(g: Graph, ref: RefGraph):
+        ids = g.ids.tolist()
+        assert ids == ref.nodes()
+        assert g.num_edges == len(ref.edges())
+        for i, u in enumerate(ids):
+            lo, hi = g.indptr[i], g.indptr[i + 1]
+            assert [ids[j] for j in g.indices[lo:hi]] == ref.neighbors(u)
+            assert g.weights[lo:hi].tolist() == [ref.weight(u, v) for v in ref.neighbors(u)]
+
+    @given(edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_weights_match_reference(self, case):
+        pairs, weights, isolated = case
+        src = [u for u, _ in pairs]
+        dst = [v for _, v in pairs]
+        counted, weighted = RefGraph(), RefGraph()
+        for u in isolated:
+            counted.add_node(u)
+            weighted.add_node(u)
+        for (u, v), w in zip(pairs, weights):
+            counted.add_edge(u, v)
+            weighted.add_edge(u, v, w)
+        self.assert_same(Graph.from_edges(src, dst, nodes=isolated), counted)
+        self.assert_same(Graph.from_edges(src, dst, weights, isolated), weighted)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValidationError, match="self-loop on node 3"):
+            Graph.from_edges([0, 3], [1, 3])
+
+
 class TestAggregateWindow:
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6), st.integers(0, 12)), max_size=30),
+        st.integers(-2, 14),
+        st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edges_match_brute_force(self, events, t, w):
+        """Integer timestamps tie often; narrow windows hold zero or one event."""
+        events = sorted(events, key=lambda e: e[2])
+        src = np.array([u for u, _, _ in events], np.int64)
+        dst = (src + np.array([d for _, d, _ in events], np.int64)) % 7
+        ts = np.array([e[2] for e in events], np.float64)
+        stream = EventStream(src, dst, ts, np.empty((len(events), 0)), 7)
+        g = aggregate_window(stream, float(t), w, 10.0)
+        ref = RefGraph()
+        for u, v in window_edge_set(stream, t - w * 10.0, t):
+            ref.add_edge(u, v)
+        TestGraph.assert_same(g, ref)
+
     def test_window_bounds(self):
         stream = generate_synthetic(GeneratorSpec(num_events=500), np.random.default_rng(0))
         g = aggregate_window(stream, t=500.0, w=0.01, train_span=1000.0)
-        assert g.window_lo == pytest.approx(490.0)
-        assert g.window_hi == 500.0
-        ts = stream.timestamps
-        in_window = (ts >= 490.0) & (ts < 500.0)
-        expected = {
-            tuple(sorted((int(s), int(d))))
-            for s, d in zip(stream.src[in_window], stream.dst[in_window])
-        }
-        assert g.edge_set() == expected
+        assert RefGraph.of(g).edge_set() == window_edge_set(stream, 490.0, 500.0)
 
     def test_before_first_event(self):
         stream = generate_synthetic(GeneratorSpec(num_events=100), np.random.default_rng(0))
@@ -56,7 +122,7 @@ class TestAggregateWindow:
         g = aggregate_window(
             stream, t=stream.end_time + 1e-9, w=1.0, train_span=stream.end_time + 1.0
         )
-        assert g.edge_set() == aggregate_static(stream).edge_set()
+        assert RefGraph.of(g).edge_set() == RefGraph.of(aggregate_static(stream)).edge_set()
 
     def test_bad_fraction(self):
         stream = generate_synthetic(GeneratorSpec(num_events=10), np.random.default_rng(0))
@@ -66,11 +132,8 @@ class TestAggregateWindow:
             aggregate_window(stream, 1.0, 0.5, 0.0)
 
 
-def star4() -> Graph:
-    g = Graph()
-    for leaf in (1, 2, 3):
-        g.add_edge(0, leaf)
-    return g
+def star4(nodes=()) -> Graph:
+    return Graph.from_edges([0, 0, 0], [1, 2, 3], nodes=nodes)
 
 
 class TestNodeFeatures:
@@ -99,16 +162,11 @@ class TestNodeFeatures:
         assert not fv.standardized
 
     def test_isolated_node_zero_vector(self):
-        g = star4()
-        g.add_node(7)
-        fv = node_features(g, 7, d_p=4)
+        fv = node_features(star4(nodes=[7]), 7, d_p=4)
         assert np.all(fv.values == 0.0)
 
     def test_k4_symmetry(self):
-        g = Graph()
-        for u in range(4):
-            for v in range(u + 1, 4):
-                g.add_edge(u, v)
+        g = Graph.from_edges([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
         for u in range(4):
             fv = node_features(g, u, d_p=3)
             assert fv.values[3] == pytest.approx(1.0)  # clustering
@@ -120,11 +178,12 @@ class TestNodeFeatures:
             n = int(rng.integers(2, 13))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.7)))
             nodes, mat = structural_feature_matrix(g, d_p=4)
+            ref = RefGraph.of(g)
             bc = betweenness_oracle(g)
             cc = closeness_oracle(g)
             cl = clustering_oracle(g)
             for row, u in enumerate(nodes):
-                assert mat[row, 0] == g.degree(u)
+                assert mat[row, 0] == ref.degree(u)
                 assert mat[row, 1] == pytest.approx(bc[u], abs=1e-9)
                 assert mat[row, 2] == pytest.approx(cc[u], abs=1e-9)
                 assert mat[row, 3] == pytest.approx(cl[u], abs=1e-9)
@@ -145,11 +204,10 @@ class TestNodeFeatures:
             n = int(rng.integers(3, 10))
             g = random_graph(rng, n, 0.5)
             perm = rng.permutation(n)
-            h = Graph()
-            for u in range(n):
-                h.add_node(int(perm[u]))
-            for u, v, _ in g.edges():
-                h.add_edge(int(perm[u]), int(perm[v]))
+            edges = RefGraph.of(g).edges()
+            h = Graph.from_edges(
+                [perm[u] for u, _, _ in edges], [perm[v] for _, v, _ in edges], nodes=perm
+            )
             for u in range(n):
                 a = node_features(g, u, d_p=4).values
                 b = node_features(h, int(perm[u]), d_p=4).values
@@ -181,12 +239,9 @@ def shaped_graphs(draw) -> Graph:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     isolated = draw(st.integers(0, 3))
     label = draw(st.permutations(range(n + isolated)))
-    g = Graph()
-    for v in range(n + isolated):
-        g.add_node(label[v])
-    for u, v in edges:
-        g.add_edge(label[u], label[v])
-    return g
+    return Graph.from_edges(
+        [label[u] for u, _ in edges], [label[v] for _, v in edges], nodes=label
+    )
 
 
 class TestBrandesListPort:
@@ -195,9 +250,10 @@ class TestBrandesListPort:
     @given(shaped_graphs())
     @settings(max_examples=300, deadline=None)
     def test_bitwise_against_array_sweep(self, g):
-        present = g.nodes()
+        ref = RefGraph.of(g)
+        present = ref.nodes()
         index = {u: i for i, u in enumerate(present)}
-        adj = [[index[v] for v in g.neighbors(u)] for u in present]
+        adj = [[index[v] for v in ref.neighbors(u)] for u in present]
         ref_bc, dists = _brandes_and_distances(adj)
         ref_cc = _closeness(dists, len(adj))
         bc, cc = _betweenness_closeness(adj)

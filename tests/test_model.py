@@ -22,9 +22,9 @@ from tglink.model import (
     stream_batches,
     train_epoch,
 )
-from tglink.nn import Adam, MlpSpec, grad_check
+from tglink.nn import Adam, MlpSpec
 
-from helpers import copy_state, fresh_state, random_stream, tiny_model
+from helpers import copy_state, fresh_state, grad_check, random_stream, tiny_model
 from oracles import DequeNeighborCache
 
 

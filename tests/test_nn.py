@@ -12,11 +12,12 @@ from tglink.nn import (
     MlpSpec,
     Tensor,
     TimeEncoder,
-    grad_check,
     masked_attention,
     masked_attention_backward,
     uniform_init,
 )
+
+from helpers import grad_check
 
 GRAD_TOL = 1e-4
 N_INSTANCES = 20

@@ -8,13 +8,22 @@ from tglink.events import EventStream, GeneratorSpec, generate_synthetic
 from tglink.graphs import Graph, aggregate_static
 from tglink.splitting import CommunityAssignment, louvain, make_transfer_split, modularity
 
-from oracles import best_partition_modularity, modularity_oracle
+from oracles import (
+    RefGraph,
+    best_partition_modularity,
+    best_partition_modularity_loop,
+    modularity_oracle,
+    random_graph,
+)
 
 
-def clique(g: Graph, nodes):
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            g.add_edge(u, v)
+def clique(nodes) -> list[tuple[int, int]]:
+    return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+
+
+def graph_of(pairs, weights=None, nodes=()) -> Graph:
+    src, dst = zip(*pairs) if pairs else ((), ())
+    return Graph.from_edges(src, dst, weights, nodes)
 
 
 class TestAggregateStatic:
@@ -23,7 +32,7 @@ class TestAggregateStatic:
             np.array([0, 1, 1]), np.array([1, 0, 2]), np.array([1.0, 2.0, 3.0]),
             np.empty((3, 0)), 3,
         )
-        g = aggregate_static(stream)
+        g = RefGraph.of(aggregate_static(stream))
         assert g.weight(0, 1) == 2
         assert g.weight(1, 2) == 1
 
@@ -31,15 +40,15 @@ class TestAggregateStatic:
         stream = EventStream(
             np.array([0]), np.array([1]), np.array([1.0]), np.empty((1, 0)), 2
         )
-        g = aggregate_static(stream)
+        g = RefGraph.of(aggregate_static(stream))
         assert g.edges() == [(0, 1, 1.0)]
 
     def test_weight_conservation(self):
         stream = generate_synthetic(
             GeneratorSpec(num_events=2000, nodes_per_community=15), np.random.default_rng(0)
         )
-        g = aggregate_static(stream)
-        assert g.total_weight == len(stream)
+        g = RefGraph.of(aggregate_static(stream))
+        assert sum(w for _, _, w in g.edges()) == len(stream)
 
     def test_empty_stream_rejected(self):
         empty = EventStream(
@@ -54,31 +63,26 @@ class TestModularity:
         rng = np.random.default_rng(4)
         for trial in range(30):
             n = int(rng.integers(3, 11))
-            g = Graph()
-            for u in range(n):
-                g.add_node(u)
+            pairs, weights = [], []
             for u in range(n):
                 for v in range(u + 1, n):
                     if rng.random() < 0.4:
-                        g.add_edge(u, v, float(rng.integers(1, 4)))
+                        pairs.append((u, v))
+                        weights.append(float(rng.integers(1, 4)))
+            g = graph_of(pairs, weights, nodes=range(n))
             part = {u: int(rng.integers(0, 3)) for u in range(n)}
             assert modularity(g, part) == pytest.approx(
                 modularity_oracle(g, part), abs=1e-12
             )
 
     def test_missing_node_raises(self):
-        g = Graph()
-        g.add_edge(0, 1)
         with pytest.raises(ValidationError):
-            modularity(g, {0: 0})
+            modularity(graph_of([(0, 1)]), {0: 0})
 
 
 class TestLouvain:
     def test_two_cliques_bridge(self):
-        g = Graph()
-        clique(g, [0, 1, 2, 3, 4])
-        clique(g, [5, 6, 7, 8, 9])
-        g.add_edge(4, 5)
+        g = graph_of(clique([0, 1, 2, 3, 4]) + clique([5, 6, 7, 8, 9]) + [(4, 5)])
         asg = louvain(g, np.random.default_rng(0))
         assert asg.num_communities == 2
         groups = asg.members()
@@ -88,16 +92,13 @@ class TestLouvain:
         assert asg.modularity == pytest.approx(best_q, abs=1e-9)
 
     def test_edgeless_graph(self):
-        g = Graph()
-        for u in range(4):
-            g.add_node(u)
+        g = graph_of([], nodes=range(4))
         asg = louvain(g, np.random.default_rng(0))
         assert asg.num_communities == 4
         assert asg.modularity == 0.0
 
     def test_k5_single_community(self):
-        g = Graph()
-        clique(g, [0, 1, 2, 3, 4])
+        g = graph_of(clique([0, 1, 2, 3, 4]))
         asg = louvain(g, np.random.default_rng(1))
         assert asg.num_communities == 1
         best_q, best = best_partition_modularity(g)
@@ -114,6 +115,17 @@ class TestLouvain:
         assert asg.modularity == pytest.approx(
             modularity_oracle(g, asg.community_of), abs=1e-9
         )
+
+    def test_edge_weights_are_event_counts(self):
+        # The same pairs with counts as weights, repeated or weighted.
+        pairs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
+        counts = [3, 1, 2, 1, 2, 2, 1]
+        repeated = graph_of([p for p, c in zip(pairs, counts) for _ in range(c)])
+        weighted = graph_of(pairs, [float(c) for c in counts])
+        a = louvain(repeated, np.random.default_rng(0))
+        b = louvain(weighted, np.random.default_rng(0))
+        assert a == b
+        assert a.community_of == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
 
     def test_phase_log_non_decreasing(self):
         stream = generate_synthetic(
@@ -142,6 +154,29 @@ class TestLouvain:
         planted = {u: u // 20 for u in range(40)}
         agreement = _planted_agreement(asg, planted, 40)
         assert agreement >= 0.9
+
+
+class TestPartitionOracles:
+    """The vectorised best-partition oracle equals the loop one bit for bit."""
+
+    def test_k5(self):
+        g = graph_of(clique([0, 1, 2, 3, 4]))
+        assert best_partition_modularity(g) == best_partition_modularity_loop(g)
+
+    def test_small_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for trial in range(15):
+            g = random_graph(rng, int(rng.integers(0, 8)), float(rng.uniform(0.2, 0.7)))
+            assert best_partition_modularity(g) == best_partition_modularity_loop(g)
+
+    def test_weighted_graphs(self):
+        rng = np.random.default_rng(12)
+        for trial in range(5):
+            n = int(rng.integers(3, 8))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            weights = rng.integers(1, 5, len(pairs)).astype(float)
+            g = graph_of(pairs, weights, nodes=range(n))
+            assert best_partition_modularity(g) == best_partition_modularity_loop(g)
 
 
 def _planted_agreement(asg: CommunityAssignment, planted: dict[int, int], n: int) -> float:

@@ -12,7 +12,7 @@ from tglink.features import (
 )
 from tglink.graphs import Graph, aggregate_window
 from tglink.model import MemoryStore, train_epoch
-from tglink.nn import Adam, grad_check
+from tglink.nn import Adam
 from tglink.structmap import (
     StructMapParams,
     StructMapTrainer,
@@ -22,7 +22,7 @@ from tglink.structmap import (
     structmap_loss_backward,
 )
 
-from helpers import fresh_state, random_stream, tiny_model
+from helpers import fresh_state, grad_check, random_stream, tiny_model
 
 D_S = 6  # 4 topology features + d_p=2 walk probabilities in the tiny config
 
@@ -182,10 +182,7 @@ class TestAlphaZero:
 
 class TestColdStart:
     def _window(self):
-        g = Graph()
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        return g
+        return Graph.from_edges([0, 1], [1, 2])
 
     def test_isolated_unseen_node_gets_bias_path(self):
         model_dm = 4
@@ -212,9 +209,7 @@ class TestColdStart:
     def test_identical_neighborhoods_identical_memories(self):
         sm = make_params(seed=7)
         store = MemoryStore(6, 4)
-        g = Graph()
-        g.add_edge(0, 2)
-        g.add_edge(1, 2)  # nodes 0 and 1 both have the single neighbor 2
+        g = Graph.from_edges([0, 1], [2, 2])  # nodes 0 and 1 both have the single neighbor 2
         scaler = identity_scaler()
         cold_start(store, 0, window_row(g, 0), 1.0, scaler, sm)
         cold_start(store, 1, window_row(g, 1), 1.0, scaler, sm)

@@ -311,7 +311,7 @@ class TestWindowFeaturesComputedOnce:
         for batch in batches:
             t = batch.batch_start_time
             g = aggregate_window(stream, t, 0.1, 50.0)
-            nodes = sorted(set(g.nodes()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
+            nodes = sorted(set(g.ids.tolist()) | set(batch.src.tolist()) | set(batch.dst.tolist()))
             uncached.append(structural_feature_matrix(g, 2, nodes)[1])
             got_nodes, got = engine.batch_rows(batch)
             assert got_nodes.tolist() == nodes

@@ -39,8 +39,8 @@ def modularity(graph: Graph, community_of: dict[int, int]) -> float:
         return 0.0
     _, com = np.unique([community_of[u] for u in nodes], return_inverse=True)
     same = com[rows] == com[graph.indices]
-    internal = np.bincount(com[rows[same]], graph.weights[same], com.max() + 1).tolist()
     total = np.bincount(com, degree).tolist()
+    internal = np.bincount(com[rows[same]], graph.weights[same], len(total)).tolist()
     # One term per community, in ascending label order.
     q = 0.0
     for c in range(len(total)):

@@ -7,6 +7,7 @@ import pytest
 
 from tglink.checkpoint import load_checkpoint, save_checkpoint
 from tglink.errors import ValidationError
+from tglink.model import ModelConfig
 from tglink.transfer import TrainConfig, fit
 
 from helpers import TINY_CONFIG, random_stream
@@ -44,3 +45,14 @@ def test_version_one_loads_without_its_optimizer_and_rng_state(tmp_path):
     old.write_text(json.dumps(payload))
     with pytest.raises(ValidationError):
         load_checkpoint(old)
+
+
+def test_model_config_dict_bytes_are_pinned():
+    text = json.dumps(ModelConfig(d_e=2, message_hidden=(8, 4)).to_dict(), sort_keys=True)
+    assert text == (
+        '{"alpha": 1.0, "coupled_structmap": false, "d_att": 32, "d_e": 2, "d_m": 32, '
+        '"d_n": 32, "d_p": 4, "d_t": 8, "decoder_hidden": [64], "message_hidden": [8, 4], '
+        '"num_neighbors": 10, "structmap_hidden": 64, "use_structmap": true, '
+        '"window_fraction": 0.01}'
+    )
+    assert ModelConfig.from_dict(json.loads(text)) == ModelConfig(d_e=2, message_hidden=(8, 4))

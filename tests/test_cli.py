@@ -1,11 +1,12 @@
 """End-to-end command-line pipeline: artifacts, hashes, determinism, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from tglink.cli import main
+from tglink.cli import build_parser, main
 from tglink.config import RunConfig, build_run_config, load_config_file
 from tglink.errors import ValidationError
 
@@ -206,3 +207,74 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_config_hash_stable():
     assert RunConfig().content_hash() == RunConfig().content_hash()
     assert RunConfig(seed=1).content_hash() != RunConfig(seed=2).content_hash()
+
+
+# Content hashes are stamped into every artifact; these literals pin the flat
+# key set and the value strings that feed them.
+HASH_PINS = [
+    ({}, {}, "5d741e85dd15891f"),
+    (
+        {
+            "message_hidden": "16, 8", "hits_ks": "1,3", "coupled_structmap": "yes",
+            "use_structmap": "false", "csv_delimiter": ";",
+        },
+        {"seed": 7},
+        "ee8731be5567438f",
+    ),
+    (
+        {"decoder_hidden": "", "finetune_lr": "0.0", "alpha": "0.5"},
+        {"p_in": 0.6, "p_out": 0.2, "lr": 0.01},
+        "3c017ae896f6505f",
+    ),
+    (
+        {
+            "csv_has_header": "no", "num_events": "900", "nodes_per_community": "15",
+            "p_in": "0.05", "p_out": "0.01",
+        },
+        {"window_fraction": 0.05},
+        "ce335fdb99829858",
+    ),
+]
+
+
+@pytest.mark.parametrize("file_values,overrides,expected", HASH_PINS)
+def test_content_hash_pins(file_values, overrides, expected):
+    assert build_run_config(file_values, overrides).content_hash() == expected
+
+
+MODEL_FLAGS = {
+    "d_m", "d_t", "d_att", "d_n", "message_hidden", "decoder_hidden", "num_neighbors",
+    "use_structmap", "structmap_hidden", "d_p", "alpha", "window_fraction", "coupled_structmap",
+}
+TRAIN_FLAGS = {"batch_size", "lr", "epochs", "patience", "train_negatives"}
+GEN_FLAGS = {
+    "num_communities", "nodes_per_community", "num_events", "p_in", "p_out", "pref_attach",
+    "time_span",
+}
+TRANSFER_FLAGS = {"finetune_fraction", "finetune_lr", "eval_negatives", "hits_ks"}
+SUBCOMMAND_DESTS = {
+    "generate": {"config", "out", "seed"} | GEN_FLAGS,
+    "split": {"config", "input", "out_dir", "seed", "balance_tolerance", "allow_two_way"},
+    "features": {"config", "input", "out", "batch_size", "window_fraction", "d_p"},
+    "train": {"config", "train_csv", "val_csv", "out", "seed", "eval_negatives", "hits_ks"}
+    | MODEL_FLAGS
+    | TRAIN_FLAGS,
+    "transfer": {
+        "config", "checkpoint", "test_csv", "scenario", "out", "seed", "batch_size",
+        "window_fraction",
+    }
+    | TRANSFER_FLAGS,
+    "analyze": {"config", "checkpoint", "stream_csv", "out", "sample_pairs", "seed", "d_p"},
+    "seed-sweep": {"config", "seeds", "out"} | GEN_FLAGS | MODEL_FLAGS | TRAIN_FLAGS
+    | TRANSFER_FLAGS,
+    "params": {"config", "n", "out"} | MODEL_FLAGS,
+}
+
+
+def test_subcommand_flag_sets():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        name: {a.dest for a in p._actions if a.dest != "help"} for name, p in sub.choices.items()
+    }
+    assert dests == SUBCOMMAND_DESTS

@@ -3,8 +3,10 @@
 A checkpoint bundles model parameters, the structural-map head, the feature
 standardizer, the final training-time memory/neighbor state, the per-epoch
 history and the run's config hash. Floats survive the JSON round trip exactly
-(repr-based encoding). Version 1 files also held optimizer and RNG state,
-which nothing read; loading ignores them.
+(repr-based encoding), and the file is strict JSON: version 3 writes a
+never-seen node's last-update sentinel as null. Versions 1 and 2 wrote it as
+the non-standard -Infinity; they still load. Version 1 files also held
+optimizer and RNG state, which nothing read; loading ignores them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .structmap import StructMapParams
 from .transfer import TrainedModel
 
 FORMAT = "tglink-checkpoint"
-VERSION = 2
+VERSION = 3
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -55,7 +57,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != FORMAT:
         raise ValidationError(f"{path}: not a {FORMAT} file")
-    if payload.get("version") not in (1, VERSION):
+    if payload.get("version") not in (1, 2, VERSION):
         raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     config = ModelConfig.from_dict(payload["config"])
     span = float(payload["train_span"])

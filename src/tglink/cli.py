@@ -15,14 +15,22 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
-from .config import RunConfig, build_run_config, load_config_file
-from .errors import DivergenceError, TglinkError
+from .config import (
+    KEYS,
+    RunConfig,
+    build_run_config,
+    component_keys,
+    load_config_file,
+    parse_value,
+)
+from .errors import DivergenceError, TglinkError, ValidationError
 from .events import EventStream, generate_synthetic, load_csv, make_batches, write_csv
 from .features import WindowFeatures, correlate_distances, feature_names, structural_feature_matrix
 from .graphs import aggregate_static
@@ -47,51 +55,45 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list], cfg_hash: s
 
 
 def _load_stream(path: str, cfg: RunConfig) -> EventStream:
-    return load_csv(path, cfg.ingestion_config())
+    return load_csv(path, cfg.ingestion)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if getattr(args, "config", None) else None
     overrides = {
         name: getattr(args, name)
-        for name in RunConfig.__dataclass_fields__
+        for name in KEYS
         if hasattr(args, name) and getattr(args, name) is not None
     }
     return build_run_config(file_values, overrides)
 
 
-def _add_config_args(p: argparse.ArgumentParser, names: list[str]) -> None:
-    type_map = {int: int, float: float}
-    defaults = RunConfig()
-    for name in names:
-        val = getattr(defaults, name)
-        flag = "--" + name.replace("_", "-")
-        if isinstance(val, bool):
-            p.add_argument(flag, default=None, type=lambda s: s.lower() in ("true", "1", "yes"))
-        elif isinstance(val, tuple):
-            p.add_argument(
-                flag, default=None, type=lambda s: tuple(int(x) for x in s.split(","))
-            )
-        else:
-            p.add_argument(flag, default=None, type=type_map.get(type(val), str))
+def _flag_type(key: str):
+    """The config file's value parser, with its errors made argparse usage errors."""
+
+    def parse(raw: str):
+        try:
+            return parse_value(key, raw)
+        except ValidationError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
 
 
-_MODEL_ARGS = [
-    "d_m", "d_t", "d_att", "d_n", "message_hidden", "decoder_hidden", "num_neighbors",
-    "use_structmap", "structmap_hidden", "d_p", "alpha", "window_fraction",
-    "coupled_structmap",
-]
-_TRAIN_ARGS = ["batch_size", "lr", "epochs", "patience", "train_negatives"]
-_GEN_ARGS = [
-    "num_communities", "nodes_per_community", "num_events", "p_in", "p_out",
-    "pref_attach", "time_span",
-]
+def _add_config_args(p: argparse.ArgumentParser, keys: list[str]) -> None:
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), default=None, type=_flag_type(key))
+
+
+_MODEL_ARGS = component_keys("experiment", "model")
+_TRAIN_ARGS = component_keys("experiment", "train")
+_GEN_ARGS = component_keys("experiment", "generator")
 _TRANSFER_ARGS = ["finetune_fraction", "finetune_lr", "eval_negatives", "hits_ks"]
 
 
 def _cmd_generate(args) -> int:
     cfg = _resolve_config(args)
-    stream = generate_synthetic(cfg.generator_spec(), child_rng(cfg.seed, "generate"))
+    stream = generate_synthetic(cfg.experiment.generator, child_rng(cfg.seed, "generate"))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(stream, out, header_comment=f"config_hash={cfg.content_hash()}")
@@ -114,8 +116,9 @@ def _cmd_split(args) -> int:
     stream = _load_stream(args.input, cfg)
     graph = aggregate_static(stream)
     assignment = louvain(graph, child_rng(cfg.seed, "louvain"))
+    exp = cfg.experiment
     split = make_transfer_split(
-        stream, assignment, cfg.balance_tolerance, allow_two_way=cfg.allow_two_way
+        stream, assignment, exp.balance_tolerance, allow_two_way=exp.allow_two_way
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,10 +153,11 @@ def _cmd_features(args) -> int:
     cfg = _resolve_config(args)
     stream = _load_stream(args.input, cfg)
     span = max(stream.time_span, 1e-12)
-    names = list(feature_names(cfg.d_p))
-    features = WindowFeatures(stream, cfg.window_fraction, span, cfg.d_p)
+    config = cfg.experiment.model
+    names = list(feature_names(config.d_p))
+    features = WindowFeatures(stream, config.window_fraction, span, config.d_p)
     rows: list[list] = []
-    for bi, batch in enumerate(make_batches(stream, cfg.batch_size)):
+    for bi, batch in enumerate(make_batches(stream, cfg.experiment.train.batch_size)):
         # One row per batch endpoint, on the window ending at the batch start.
         nodes = sorted(set(batch.src.tolist()) | set(batch.dst.tolist()))
         mat = features.rows(batch.batch_start_time, nodes)
@@ -166,17 +170,18 @@ def _cmd_features(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    exp = cfg.experiment
     train_stream = _load_stream(args.train_csv, cfg)
     val_stream = _load_stream(args.val_csv, cfg) if args.val_csv else None
     trained = fit(
         train_stream,
         val_stream,
-        cfg.model_config(d_e=train_stream.d_e),
-        cfg.train_config(),
+        replace(exp.model, d_e=train_stream.d_e),
+        exp.train,
         cfg.seed,
         config_hash=cfg.content_hash(),
-        eval_negatives=cfg.eval_negatives,
-        ks=cfg.hits_ks,
+        eval_negatives=exp.eval_negatives,
+        ks=exp.hits_ks,
     )
     save_checkpoint(trained, args.out)
     curve_rows = []
@@ -209,20 +214,21 @@ def _cmd_transfer(args) -> int:
     cfg = _resolve_config(args)
     trained = load_checkpoint(args.checkpoint)
     test_stream = _load_stream(args.test_csv, cfg)
+    exp = cfg.experiment
     scenario = TransferScenario(
         kind=args.scenario,
-        finetune_fraction=cfg.finetune_fraction,
-        window_fraction=cfg.window_fraction,
+        finetune_fraction=exp.finetune_fraction,
+        window_fraction=exp.model.window_fraction,
     )
     record = run_transfer(
         trained,
         test_stream,
         scenario,
         cfg.seed,
-        eval_negatives=cfg.eval_negatives,
-        ks=cfg.hits_ks,
-        batch_size=cfg.batch_size,
-        finetune_lr=cfg.finetune_lr,
+        eval_negatives=exp.eval_negatives,
+        ks=exp.hits_ks,
+        batch_size=exp.train.batch_size,
+        finetune_lr=exp.finetune_lr,
     )
     out = Path(args.out)
     _write_json(out, record.to_dict(), cfg.content_hash())
@@ -254,7 +260,7 @@ def _cmd_analyze(args) -> int:
     stream = _load_stream(args.stream_csv, cfg)
     graph = aggregate_static(stream)
     seen = np.flatnonzero(trained.store.last_update != -np.inf)
-    _, feats = structural_feature_matrix(graph, cfg.d_p, [int(n) for n in seen])
+    _, feats = structural_feature_matrix(graph, cfg.experiment.model.d_p, [int(n) for n in seen])
     memory = trained.store.memory[seen]
     r_p, r_s = correlate_distances(
         memory, feats, args.sample_pairs, child_rng(cfg.seed, "analyze-pairs")
@@ -276,7 +282,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_seed_sweep(args) -> int:
     cfg = _resolve_config(args)
     seeds = [int(s) for s in args.seeds.split(",")]
-    report = seed_sweep(cfg.experiment_config(), seeds)
+    report = seed_sweep(replace(cfg.experiment, config_hash=cfg.content_hash()), seeds)
     _write_json(Path(args.out), report.to_dict(), cfg.content_hash())
     for kind, stats in report.dispersion.items():
         log.info(
@@ -294,11 +300,12 @@ def _cmd_params(args) -> int:
     from .model import TgnModel
     from .structmap import StructMapParams
 
-    model = TgnModel(cfg.model_config(), span=1.0, rng=np.random.default_rng(0))
+    config = cfg.experiment.model
+    model = TgnModel(config, span=1.0, rng=np.random.default_rng(0))
     sm = None
-    if cfg.use_structmap:
+    if config.use_structmap:
         sm = StructMapParams(
-            model.config.d_s, cfg.d_m, cfg.structmap_hidden, cfg.alpha, np.random.default_rng(0)
+            config.d_s, config.d_m, config.structmap_hidden, config.alpha, np.random.default_rng(0)
         )
     report = count_parameters(model, args.n, sm)
     print(report.as_table())

@@ -1,164 +1,98 @@
 """Run configuration: flat key=value files, flag overrides, content hashing.
 
-Every tunable lives in one flat RunConfig so a single diff-able text file
-describes an experiment. The content hash covers the experiment-defining
-fields (not I/O paths), is stamped into every output artifact, and two runs
-with equal hash and seed produce identical metric files.
+A RunConfig holds the component dataclasses (the ExperimentConfig with its
+generator, model and training settings, the CSV IngestionConfig) and the
+seed. Its flat `key = value` names are derived from the components' own
+fields: a field keeps its name, ingestion fields get the prefix `csv_`, and
+the fields in EXCLUDED have no key. Config files, flags and `to_flat_dict`
+all read that one key table and one value parser, and each component is
+built once from all of its values, so every subcommand validates the whole
+configuration. The content hash covers the flat values (not I/O paths), is
+stamped into every output artifact, and two runs with equal hash and seed
+produce identical metric files.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 from .errors import ValidationError
-from .events import GeneratorSpec
-from .model import ModelConfig
-from .transfer import ExperimentConfig, TrainConfig
+from .events import GeneratorSpec, IngestionConfig
+from .transfer import ExperimentConfig
+
+# Component fields with no flat key: the edge-feature width comes from the
+# stream, the comment prefix is fixed and the config hash is computed.
+EXCLUDED = frozenset({"d_e", "comment_prefix", "config_hash"})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    # architecture
-    d_m: int = 32
-    d_t: int = 8
-    d_att: int = 32
-    d_n: int = 32
-    message_hidden: tuple[int, ...] = (64,)
-    decoder_hidden: tuple[int, ...] = (64,)
-    num_neighbors: int = 10
-    # structural map
-    use_structmap: bool = True
-    structmap_hidden: int = 64
-    d_p: int = 4
-    alpha: float = 1.0
-    window_fraction: float = 0.01
-    coupled_structmap: bool = False
-    # training
-    batch_size: int = 100
-    lr: float = 1e-3
-    epochs: int = 10
-    patience: int = 5
-    train_negatives: int = 1
-    # transfer
-    finetune_fraction: float = 0.20
-    finetune_lr: float = 3e-4
-    eval_negatives: int = 20
-    hits_ks: tuple[int, ...] = (1, 5, 10)
-    # generator
-    num_communities: int = 2
-    nodes_per_community: int = 50
-    num_events: int = 6000
-    p_in: float = 0.9
-    p_out: float = 0.1
-    pref_attach: float = 1.0
-    time_span: float = 1000.0
-    # splitting
-    balance_tolerance: float = 0.25
-    allow_two_way: bool = True
-    # csv ingestion
-    csv_has_header: str = "auto"
-    csv_delimiter: str = ","
-    # reproducibility
+    # The flat defaults that differ from the components' own defaults.
+    experiment: ExperimentConfig = ExperimentConfig(
+        generator=GeneratorSpec(nodes_per_community=50, num_events=6000), finetune_lr=3e-4
+    )
+    ingestion: IngestionConfig = IngestionConfig()
     seed: int = 0
 
     def to_flat_dict(self) -> dict[str, str]:
         out: dict[str, str] = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
+        for key, path in KEYS.items():
+            val = reduce(getattr, path, self)
             if isinstance(val, tuple):
-                out[f.name] = ",".join(str(v) for v in val)
+                out[key] = ",".join(str(v) for v in val)
             elif isinstance(val, bool):
-                out[f.name] = "true" if val else "false"
+                out[key] = "true" if val else "false"
             elif isinstance(val, float):
-                out[f.name] = repr(val)
+                out[key] = repr(val)
             else:
-                out[f.name] = str(val)
+                out[key] = str(val)
         return out
 
     def content_hash(self) -> str:
         lines = [f"{k}={v}" for k, v in sorted(self.to_flat_dict().items())]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
-    def model_config(self, d_e: int = 0) -> ModelConfig:
-        return ModelConfig(
-            d_m=self.d_m,
-            d_t=self.d_t,
-            d_att=self.d_att,
-            d_n=self.d_n,
-            d_e=d_e,
-            message_hidden=self.message_hidden,
-            decoder_hidden=self.decoder_hidden,
-            num_neighbors=self.num_neighbors,
-            d_p=self.d_p,
-            use_structmap=self.use_structmap,
-            structmap_hidden=self.structmap_hidden,
-            alpha=self.alpha,
-            window_fraction=self.window_fraction,
-            coupled_structmap=self.coupled_structmap,
-        )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            lr=self.lr,
-            epochs=self.epochs,
-            patience=self.patience,
-            train_negatives=self.train_negatives,
-        )
-
-    def ingestion_config(self):
-        from .events import IngestionConfig
-
-        return IngestionConfig(has_header=self.csv_has_header, delimiter=self.csv_delimiter)
-
-    def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(
-            num_communities=self.num_communities,
-            nodes_per_community=self.nodes_per_community,
-            num_events=self.num_events,
-            p_in=self.p_in,
-            p_out=self.p_out,
-            pref_attach=self.pref_attach,
-            time_span=self.time_span,
-        )
-
-    def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            generator=self.generator_spec(),
-            model=self.model_config(),
-            train=self.train_config(),
-            balance_tolerance=self.balance_tolerance,
-            allow_two_way=self.allow_two_way,
-            eval_negatives=self.eval_negatives,
-            hits_ks=self.hits_ks,
-            finetune_fraction=self.finetune_fraction,
-            finetune_lr=self.finetune_lr,
-            config_hash=self.content_hash(),
-        )
+def _key_paths(obj, path: tuple[str, ...] = (), prefix: str = "") -> dict[str, tuple[str, ...]]:
+    out: dict[str, tuple[str, ...]] = {}
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if is_dataclass(val):
+            sub_prefix = "csv_" if isinstance(val, IngestionConfig) else prefix
+            out.update(_key_paths(val, path + (f.name,), sub_prefix))
+        elif f.name not in EXCLUDED:
+            out[prefix + f.name] = path + (f.name,)
+    return out
 
 
-_INT_TUPLE_FIELDS = {"message_hidden", "decoder_hidden", "hits_ks"}
+# Flat key -> attribute path from a RunConfig, e.g. "d_m" -> ("experiment", "model", "d_m").
+KEYS = _key_paths(RunConfig())
+_KINDS = {key: type(reduce(getattr, path, RunConfig())) for key, path in KEYS.items()}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_value(name: str, raw: str, target_type: type):
+def component_keys(*path: str) -> list[str]:
+    """The flat keys of the component at `path`, e.g. component_keys("experiment", "model")."""
+    return [key for key, p in KEYS.items() if p[:-1] == path]
+
+
+def parse_value(key: str, raw: str):
+    """Parse a file or flag value for `key`; raises ValidationError naming the key."""
+    if key not in KEYS:
+        raise ValidationError(f"unknown config key {key!r}")
+    kind = _KINDS[key]
     raw = raw.strip()
-    if name in _INT_TUPLE_FIELDS:
-        if not raw:
-            return ()
-        return tuple(int(x) for x in raw.split(","))
-    if target_type is bool:
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ValidationError(f"bad boolean for {name}: {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
+    try:
+        if kind is tuple:
+            return tuple(int(x) for x in raw.split(",")) if raw else ()
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ValidationError(f"bad {kind.__name__} value for {key}: {raw!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -175,21 +109,27 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _rebuild(obj, path: tuple[str, ...], values: dict[tuple[str, ...], object]):
+    # One `replace` per component, so its checks see all of its new values at once.
+    changes = {}
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if is_dataclass(val):
+            changes[f.name] = _rebuild(val, path + (f.name,), values)
+        elif path + (f.name,) in values:
+            changes[f.name] = values[path + (f.name,)]
+    return replace(obj, **changes)
+
+
 def build_run_config(
     file_values: dict[str, str] | None = None, overrides: dict[str, object] | None = None
 ) -> RunConfig:
     """Defaults -> config file -> explicit overrides (flags win)."""
-    kwargs: dict[str, object] = {}
-    known = {f.name: f.type for f in fields(RunConfig)}
-    defaults = RunConfig()
-    for name, raw in (file_values or {}).items():
-        if name not in known:
-            raise ValidationError(f"unknown config key {name!r}")
-        kwargs[name] = _parse_value(name, raw, type(getattr(defaults, name)))
-    for name, value in (overrides or {}).items():
+    values = {key: parse_value(key, raw) for key, raw in (file_values or {}).items()}
+    for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if name not in known:
-            raise ValidationError(f"unknown config key {name!r}")
-        kwargs[name] = value
-    return RunConfig(**kwargs)
+        if key not in KEYS:
+            raise ValidationError(f"unknown config key {key!r}")
+        values[key] = value
+    return _rebuild(RunConfig(), (), {KEYS[key]: value for key, value in values.items()})

@@ -15,7 +15,7 @@ gradients reach the message MLP and the GRU through the flush recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,29 +74,13 @@ class ModelConfig:
         return self.d_m + self.d_t
 
     def to_dict(self) -> dict:
-        return {
-            "d_m": self.d_m,
-            "d_t": self.d_t,
-            "d_att": self.d_att,
-            "d_n": self.d_n,
-            "d_e": self.d_e,
-            "message_hidden": list(self.message_hidden),
-            "decoder_hidden": list(self.decoder_hidden),
-            "num_neighbors": self.num_neighbors,
-            "d_p": self.d_p,
-            "use_structmap": self.use_structmap,
-            "structmap_hidden": self.structmap_hidden,
-            "alpha": self.alpha,
-            "window_fraction": self.window_fraction,
-            "coupled_structmap": self.coupled_structmap,
-        }
+        """Every field; tuples become lists, as JSON writes them."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["message_hidden"] = tuple(d["message_hidden"])
-        d["decoder_hidden"] = tuple(d["decoder_hidden"])
-        return cls(**d)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 class MemoryStore:
@@ -135,14 +119,18 @@ class MemoryStore:
         self.last_update = snap[1].copy()
 
     def to_dict(self) -> dict:
-        return {"memory": self.memory.tolist(), "last_update": self.last_update.tolist()}
+        """Plain lists for strict JSON: a never-seen row's -inf sentinel is written as None."""
+        last_update = [None if t == NEVER_SEEN else t for t in self.last_update.tolist()]
+        return {"memory": self.memory.tolist(), "last_update": last_update}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemoryStore":
+        """Reads None, or the -inf that older checkpoints held, as never seen."""
         mem = np.array(d["memory"], dtype=np.float64)
         store = cls(mem.shape[0], mem.shape[1] if mem.ndim == 2 else 0)
         store.memory = mem
-        store.last_update = np.array(d["last_update"], dtype=np.float64)
+        last_update = [NEVER_SEEN if t is None else t for t in d["last_update"]]
+        store.last_update = np.array(last_update, dtype=np.float64)
         return store
 
 

@@ -278,3 +278,53 @@ def test_subcommand_flag_sets():
         name: {a.dest for a in p._actions if a.dest != "help"} for name, p in sub.choices.items()
     }
     assert dests == SUBCOMMAND_DESTS
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_bad_bool_is_rejected_by_flag_and_file(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--n", "10", "--use-structmap", "flase"])
+    assert exc.value.code == 2
+    cfg = _config_file(tmp_path, "use_structmap = flase\n")
+    with pytest.raises(ValidationError, match="use_structmap"):
+        build_run_config(load_config_file(cfg))
+    assert main(["params", "--n", "10", "--config", str(cfg)]) == 1
+
+
+def test_empty_tuple_parses_the_same_from_flag_and_file(tmp_path):
+    args = build_parser().parse_args(["params", "--n", "10", "--message-hidden", ""])
+    assert args.message_hidden == ()
+    cfg = _config_file(tmp_path, "message_hidden =\n")
+    assert build_run_config(load_config_file(cfg)).experiment.model.message_hidden == ()
+
+
+def test_bad_int_names_its_key(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--n", "10", "--d-m", "abc"])
+    assert exc.value.code == 2
+    cfg = _config_file(tmp_path, "d_m = abc\n")
+    with pytest.raises(ValidationError, match="d_m"):
+        build_run_config(load_config_file(cfg))
+    assert main(["params", "--n", "10", "--config", str(cfg)]) == 1
+
+
+def test_every_subcommand_validates_the_whole_config(pipeline, tmp_path):
+    cfg = _config_file(tmp_path, "d_m = 0\n")
+    rc = main([
+        "split", "--config", str(cfg), "--input", str(pipeline / "stream.csv"),
+        "--out-dir", str(tmp_path / "split"),
+    ])
+    assert rc == 1
+    assert not (tmp_path / "split").exists()
+
+
+def test_generator_probabilities_are_checked_together():
+    generator = build_run_config({"p_in": "0.05", "p_out": "0.01"}).experiment.generator
+    assert (generator.p_in, generator.p_out) == (0.05, 0.01)
+    with pytest.raises(ValidationError, match="p_in > p_out"):
+        build_run_config({"p_in": "0.05", "p_out": "0.05"})

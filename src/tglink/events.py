@@ -321,6 +321,9 @@ class IngestionConfig:
     def __post_init__(self):
         if self.has_header not in ("auto", "yes", "no"):
             raise ValidationError(f"has_header must be auto/yes/no, got {self.has_header!r}")
+        if not self.delimiter:
+            # A config file's values are stripped, so a tab or space arrives empty.
+            raise ValidationError("delimiter must not be empty")
 
 
 def _looks_like_header(parts: list[str]) -> bool:

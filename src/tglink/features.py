@@ -41,48 +41,95 @@ class StructuralFeatureVector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
+def _sweep(adj: list[list[int]], s: int) -> tuple[list[int], list[float], int]:
+    """One Brandes BFS from `s`: its BFS order, dependencies and distance sum.
+
+    A node's predecessors are its neighbors one step nearer to `s`. Each adds
+    one term per node to their dependency, taken in reversed BFS order, so
+    reading them off the distances gives the sums a predecessor list gave.
+    """
+    n = len(adj)
+    dist = [-1] * n
+    sigma = [0.0] * n
+    dist[s] = 0
+    sigma[s] = 1.0
+    order = [s]
+    total = 0
+    # `order` is the BFS queue: the loop also visits what it appends.
+    for v in order:
+        d_next = dist[v] + 1
+        sigma_v = sigma[v]
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = d_next
+                total += d_next
+                order.append(w)
+            if dist[w] == d_next:
+                sigma[w] += sigma_v
+    delta = [0.0] * n
+    for w in reversed(order):
+        sigma_w = sigma[w]
+        coeff = 1.0 + delta[w]
+        d_prev = dist[w] - 1
+        for v in adj[w]:
+            if dist[v] == d_prev:
+                delta[v] += sigma[v] / sigma_w * coeff
+    return order, delta, total
+
+
 def _betweenness_closeness(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Brandes betweenness and Wasserman-Faust closeness from one BFS per source.
 
     Closeness is ((r-1)/(n-1)) * ((r-1)/sum of distances) over the r nodes a
-    source reaches, read from the source's BFS as it finishes. Plain Python
-    lists and floats: the same IEEE operations in the same order as the
-    numpy-array formulation (kept in tests/oracles.py), several times faster.
+    source reaches. Plain Python lists and floats: the same IEEE operations
+    in the same order as the numpy-array formulation (kept in
+    tests/oracles.py), several times faster.
+
+    A leaf (degree 1, its neighbor p of degree >= 2) gets no BFS of its own;
+    it reads p's (degree-1 reduction, Baglioni et al. 2012). Its BFS order
+    would be p's with the leaf moved to the front, so its dependency on every
+    other node is p's, from the same operations. Its dependency on p sums
+    1 + delta over p's other children in reversed BFS order, each term's
+    sigma ratio being exactly 1, and its distance sum is S_p - 1 + (r - 1).
+    An isolated edge, whose ends are both degree 1, keeps both sweeps.
+    Betweenness is still added source by source in index order, so every sum
+    keeps its order; a parent's sweep is kept until it and its leaves are in.
     """
     n = len(adj)
+    parent = list(range(n))
+    uses = [1] * n
+    for v in range(n):
+        if len(adj[v]) == 1:
+            p = adj[v][0]
+            if len(adj[p]) >= 2:
+                parent[v] = p
+                uses[p] += 1
     betweenness = [0.0] * n
     closeness = [0.0] * n
+    sweeps: dict[int, tuple[list[int], list[float], int]] = {}
     for s in range(n):
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        total = 0
-        # `order` is the BFS queue: the loop also visits what it appends.
-        for v in order:
-            d_next = dist[v] + 1
-            sigma_v = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = d_next
-                    total += d_next
-                    order.append(w)
-                if dist[w] == d_next:
-                    sigma[w] += sigma_v
-                    preds[w].append(v)
+        p = parent[s]
+        if p in sweeps:
+            order, delta, total = sweeps[p]
+        else:
+            order, delta, total = sweeps[p] = _sweep(adj, p)
         r = len(order)
+        if p != s:
+            # p's sweep gives the leaf a dependency of 0.0, so the loop
+            # below adds nothing to betweenness[s], as the leaf's sweep would.
+            leaf_on_p = 0.0
+            for w in reversed(adj[p]):
+                if w != s:
+                    leaf_on_p += 1.0 + delta[w]
+            betweenness[p] += leaf_on_p
+            total += r - 2
+        for w in order[1:]:
+            betweenness[w] += delta[w]
         if r > 1:
             closeness[s] = ((r - 1) / (n - 1)) * ((r - 1) / float(total))
-        delta = [0.0] * n
-        for w in reversed(order):
-            sigma_w = sigma[w]
-            coeff = 1.0 + delta[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma_w * coeff
-            if w != s:
-                betweenness[w] += delta[w]
+        uses[p] -= 1
+        if not uses[p]:
+            del sweeps[p]
     return np.array(betweenness) / 2.0, np.array(closeness)
 
 

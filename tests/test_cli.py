@@ -204,6 +204,18 @@ def test_unknown_config_key_rejected(tmp_path):
         build_run_config(load_config_file(cfg))
 
 
+def test_whitespace_delimiter_from_file_is_a_validation_error(tmp_path, pipeline):
+    """A file value is stripped, so a tab delimiter arrives empty and must exit 1."""
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text("csv_delimiter = \t\n")
+    rc = main([
+        "features", "--config", str(cfg), "--input", str(pipeline / "stream.csv"),
+        "--out", str(tmp_path / "features.csv"),
+    ])
+    assert rc == 1
+    assert not (tmp_path / "features.csv").exists()
+
+
 def test_config_hash_stable():
     assert RunConfig().content_hash() == RunConfig().content_hash()
     assert RunConfig(seed=1).content_hash() != RunConfig(seed=2).content_hash()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tglink import features
 from tglink.errors import ContractError, CorrelationUndefinedError, ValidationError
 from tglink.events import EventStream, GeneratorSpec, generate_synthetic
 from tglink.features import (
@@ -216,15 +217,17 @@ class TestNodeFeatures:
 
 @st.composite
 def shaped_graphs(draw) -> Graph:
-    """Stars, paths, trees, matchings (isolated edges) and random graphs.
+    """Stars, paths, trees, matchings (isolated edges), random and pendant graphs.
 
-    Node labels are a random permutation, so a hub or a leaf's parent may
-    have any index, and up to three isolated nodes are added. Sizes 0 and 1
-    give the empty and the one-node graph.
+    A pendant graph is a random graph with leaves hung on random nodes, so a
+    leaf's parent carries a dependency summed over many shortest paths. Node
+    labels are a random permutation, so a hub or a leaf's parent may have any
+    index, and up to three isolated nodes are added. Sizes 0 and 1 give the
+    empty and the one-node graph.
     """
-    kind = draw(st.sampled_from(["star", "path", "tree", "matching", "random"]))
+    kind = draw(st.sampled_from(["star", "path", "tree", "matching", "random", "pendant"]))
     # Random graphs go larger: their path counts make the float order matter.
-    n = draw(st.integers(0, 30 if kind == "random" else 12))
+    n = draw(st.integers(0, 30 if kind in ("random", "pendant") else 12))
     if kind == "star":
         edges = [(0, v) for v in range(1, n)]
     elif kind == "path":
@@ -237,6 +240,11 @@ def shaped_graphs(draw) -> Graph:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         p = draw(st.floats(0.05, 0.5))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if kind == "pendant" and n:
+            # Each pendant hangs on an earlier node: a core node or another pendant.
+            hung = draw(st.integers(0, 20))
+            edges += [(int(rng.integers(v)), v) for v in range(n, n + hung)]
+            n += hung
     isolated = draw(st.integers(0, 3))
     label = draw(st.permutations(range(n + isolated)))
     return Graph.from_edges(
@@ -245,7 +253,11 @@ def shaped_graphs(draw) -> Graph:
 
 
 class TestBrandesListPort:
-    """The list sweep equals the numpy-array Brandes it replaced, bit for bit."""
+    """The list sweep equals the numpy-array Brandes it replaced, bit for bit.
+
+    The array sweep runs a BFS from every source, leaves included, so it is
+    also the reference for the leaves that reuse their parent's sweep.
+    """
 
     @given(shaped_graphs())
     @settings(max_examples=300, deadline=None)
@@ -270,6 +282,48 @@ class TestBrandesListPort:
         nodes, mat = structural_feature_matrix(g, d_p)
         assert nodes == present
         assert np.array_equal(mat, ref)
+
+
+def csr_adj(g: Graph) -> list[list[int]]:
+    return [g.indices[g.indptr[i] : g.indptr[i + 1]].tolist() for i in range(g.num_nodes)]
+
+
+class TestLeafReuse:
+    """A leaf whose neighbor has degree >= 2 gets no BFS of its own."""
+
+    @staticmethod
+    def sweep_sources(adj: list[list[int]]) -> list[int]:
+        sources: list[int] = []
+        real = features._sweep
+
+        def counting(adj, s):
+            sources.append(s)
+            return real(adj, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_sweep", counting)
+            _betweenness_closeness(adj)
+        return sources
+
+    @pytest.mark.parametrize(
+        "src, dst, sweeps",
+        [
+            ([0, 0, 0, 0, 0], [1, 2, 3, 4, 5], 1),  # star of 6: only the hub
+            ([0, 1, 2, 3], [1, 2, 3, 4], 3),  # path of 5: the inner three
+            ([0], [1], 2),  # isolated edge: both ends keep their sweep
+        ],
+    )
+    def test_small_graphs(self, src, dst, sweeps):
+        adj = csr_adj(Graph.from_edges(src, dst))
+        assert len(self.sweep_sources(adj)) == sweeps
+
+    @given(shaped_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_one_sweep_per_non_reusing_source(self, g):
+        adj = csr_adj(g)
+        sources = self.sweep_sources(adj)
+        leaves = sum(1 for a in adj if len(a) == 1 and len(adj[a[0]]) >= 2)
+        assert len(sources) == len(set(sources)) == len(adj) - leaves
 
 
 class TestStandardizer:

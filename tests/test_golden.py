@@ -4,7 +4,7 @@ Run-against-run determinism tests cannot see a silent change of bits that
 stays inside the acceptance margins; these pins can. They cover raw window
 features of the desk train stream, the desk generator's streams and their
 Louvain communities for seeds 1-3, the trained state `fit` returns (model
-parameters, final memory and neighbor cache) and every record (minus
+parameters and final memory) and every record (minus
 wall-clock timing) plus the training history of the acceptance benchmark,
 seed 1. The benchmark's split is two-way, so a three-community desk stream
 pins `fit` with a validation stream: early stopping and the best-epoch
@@ -41,12 +41,12 @@ PINS = {
         "window_features": "9471227276fdf46b57e256200324c91ab6ebc3f8cbaec9caf1ffc982d6ef9beb",
         "generate_synthetic": "44a31e1b92116d253d41f714926588608086d2679ab292e4223fd579d250c2a1",
         "louvain": "eb17b659a36ea95451927f4a805b98c3f9a06f3afb72e47f2e7f7e172e0e4563",
-        "fit": "228808eee45d8db4c410cbf4763b4dcac1cafa0c15ae0a782948ec5aa0a1c8fe",
+        "fit": "148d1f72e2f8bbc4736590b4cec6ae4f395c0fdf983b985860913ef64a0152f7",
         "record.no_warm_start": "f880269e026803d730cd6f466786291dc8efe33c6371d8139a111ac5e5d889cb",
         "record.warm_start": "918adc2cea75982968d9287fb8263fe95a5d271c2d80113f541dd800ebfc3e8f",
         "record.structural_mapping": "a2bd153893e1ef66fc330d0e5f89a7f494c8cf8a088990dca9ae6f9ddcbb0a20",
         "epoch_history": "e660d67c71677a43f8be3de3a11577914199419e67e9b981f051a7f6bbed27c2",
-        "fit_with_validation": "f7914c8718feb25dacd38dc9a616a739330b19a6f8cdcf805cbcdf984a7db17a",
+        "fit_with_validation": "19a5702be4dc6d12105a806b70153c329e57b91ed8398e54e8211571c9741833",
     },
 }
 
@@ -123,7 +123,7 @@ def window_features_digest() -> str:
 
 
 def fit_digest() -> str:
-    """Parameters, final memory and neighbor cache of the seed-1 `fit`."""
+    """Parameters and final memory of the seed-1 `fit`."""
     split = seed_one_split()
     trained = fit(
         split.train,
@@ -139,7 +139,6 @@ def fit_digest() -> str:
         {
             "params": trained.model.state_dict(),
             "memory": trained.store.to_dict(),
-            "neighbor_cache": trained.cache.to_dict(),
         }
     )
 
@@ -169,7 +168,6 @@ def fit_with_validation_digest() -> str:
             "epoch_history": trained.epoch_history,
             "params": trained.model.state_dict(),
             "memory": trained.store.to_dict(),
-            "neighbor_cache": trained.cache.to_dict(),
         }
     )
 

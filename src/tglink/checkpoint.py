@@ -1,12 +1,13 @@
 """Versioned JSON checkpoints.
 
 A checkpoint bundles model parameters, the structural-map head, the feature
-standardizer, the final training-time memory/neighbor state, the per-epoch
-history and the run's config hash. Floats survive the JSON round trip exactly
-(repr-based encoding), and the file is strict JSON: version 3 writes a
-never-seen node's last-update sentinel as null. Versions 1 and 2 wrote it as
-the non-standard -Infinity; they still load. Version 1 files also held
-optimizer and RNG state, which nothing read; loading ignores them.
+standardizer, the final training-time memory, the per-epoch history and the
+run's config hash. Floats survive the JSON round trip exactly (repr-based
+encoding), and the file is strict JSON: since version 3 a never-seen node's
+last-update sentinel is written as null. Versions 1 and 2 wrote it as the
+non-standard -Infinity; they still load. Versions 1 to 3 also held the final
+training neighbor cache, and version 1 optimizer and RNG state. Nothing read
+them, and loading ignores them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import FeatureStandardizer
-from .model import MemoryStore, ModelConfig, NeighborCache, TgnModel
+from .model import MemoryStore, ModelConfig, TgnModel
 from .structmap import StructMapParams
 from .transfer import TrainedModel
 
 FORMAT = "tglink-checkpoint"
-VERSION = 3
+VERSION = 4
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -47,7 +48,6 @@ def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
         "structmap_alpha": trained.structmap.alpha if trained.structmap else None,
         "standardizer": trained.standardizer.to_dict() if trained.standardizer else None,
         "memory": trained.store.to_dict(),
-        "neighbor_cache": trained.cache.to_dict(),
         "epoch_history": trained.epoch_history,
     }
     atomic_write_text(Path(path), json.dumps(payload, sort_keys=True))
@@ -57,7 +57,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != FORMAT:
         raise ValidationError(f"{path}: not a {FORMAT} file")
-    if payload.get("version") not in (1, 2, VERSION):
+    if payload.get("version") not in (1, 2, 3, VERSION):
         raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     config = ModelConfig.from_dict(payload["config"])
     span = float(payload["train_span"])
@@ -85,7 +85,6 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         config=config,
         train_span=span,
         store=MemoryStore.from_dict(payload["memory"]),
-        cache=NeighborCache.from_dict(payload["neighbor_cache"]),
         epoch_history=payload["epoch_history"],
         seed=int(payload["seed"]),
         config_hash=payload.get("config_hash", ""),

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractError, DivergenceError, ValidationError
 from .events import EventBatch, EventStream, make_batches, sample_negatives
 from .features import feature_dim
-from .nn import AttentionReadout, GruCell, Mlp, MlpSpec, Tensor, TimeEncoder, sigmoid
+from .nn import AttentionReadout, GruCell, Mlp, MlpSpec, ParamSet, TimeEncoder, sigmoid
 
 NEVER_SEEN = -np.inf
 
@@ -194,39 +194,6 @@ class NeighborCache:
             back < c,
         )
 
-    def copy(self) -> "NeighborCache":
-        clone = NeighborCache(0, self.k, self.d_e)
-        clone.ids = self.ids.copy()
-        clone.times = self.times.copy()
-        clone.feat = self.feat.copy()
-        clone.count = self.count.copy()
-        return clone
-
-    def to_dict(self) -> dict:
-        """Each node's entries oldest first, as [id, t, feat] triples."""
-        ids, times, feat, _ = self.gather(np.arange(len(self.count)))
-        ids, times, feat = ids.tolist(), times.tolist(), feat.tolist()
-        return {
-            "k": self.k,
-            "d_e": self.d_e,
-            "buffers": [
-                [[ids[u][j], times[u][j], feat[u][j]] for j in range(n - 1, -1, -1)]
-                for u, n in enumerate(np.minimum(self.count, self.k).tolist())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NeighborCache":
-        cache = cls(len(d["buffers"]), int(d["k"]), int(d["d_e"]))
-        for u, buf in enumerate(d["buffers"]):
-            buf = buf[-cache.k :]
-            for slot, (n, t, f) in enumerate(buf):
-                cache.ids[u, slot] = int(n)
-                cache.times[u, slot] = float(t)
-                cache.feat[u, slot] = np.array(f, dtype=np.float64)
-            cache.count[u] = len(buf)
-        return cache
-
 
 @dataclass
 class Messages:
@@ -247,8 +214,8 @@ class RunState:
     pending: EventBatch | None = None
 
 
-class TgnModel:
-    """Bundles the five components plus the link decoder."""
+class TgnModel(ParamSet):
+    """Bundles the five components plus the link decoder, in one parameter set."""
 
     def __init__(self, config: ModelConfig, span: float, rng: np.random.Generator):
         self.config = config
@@ -266,31 +233,13 @@ class TgnModel:
         self.decoder = Mlp(
             MlpSpec(2 * config.d_n, config.decoder_hidden, 1), rng, name="decoder"
         )
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        out.extend(self.time_enc.parameters())
-        out.extend(self.message_mlp.parameters())
-        out.extend(self.updater.parameters())
-        out.extend(self.attention.parameters())
-        out.extend(self.decoder.parameters())
-        return out
-
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.zero_grad()
-
-    def state_dict(self) -> dict:
-        return {name: p.values.tolist() for name, p in self.parameters()}
-
-    def load_state_dict(self, state: dict) -> None:
-        for name, p in self.parameters():
-            p.values = np.array(state[name], dtype=np.float64).reshape(p.values.shape)
-
-    def copy(self) -> "TgnModel":
-        clone = TgnModel(self.config, self.train_span, np.random.default_rng(0))
-        clone.load_state_dict(self.state_dict())
-        return clone
+        super().__init__(
+            self.time_enc.parameters()
+            + self.message_mlp.parameters()
+            + self.updater.parameters()
+            + self.attention.parameters()
+            + self.decoder.parameters()
+        )
 
     # ----- messages and memory -----
 
@@ -415,13 +364,6 @@ class TgnModel:
             raise ContractError("embedding time precedes an involved last_update")
         emb, _ = self.embed_pairs(nodes, np.full(len(nodes), float(t)), store, cache)
         return emb
-
-    def score_links(self, src_emb: np.ndarray, dst_emb: np.ndarray) -> np.ndarray:
-        """Link probability per row pair."""
-        if src_emb.shape != dst_emb.shape:
-            raise ContractError("src/dst embedding shapes differ")
-        logits, _ = self.decoder.forward(np.concatenate([src_emb, dst_emb], axis=1))
-        return sigmoid(logits[:, 0])
 
 
 def bce_loss(scores: np.ndarray, labels: np.ndarray, eps: float = 1e-12) -> float:
@@ -582,9 +524,7 @@ def train_batches(
         if not np.isfinite(total):
             raise DivergenceError("non-finite training loss")
 
-        model.zero_grad()
-        if structmap_trainer is not None:
-            structmap_trainer.zero_grad()
+        optimizer.zero_grad()
         dmem = backward_batch(model, fwd, num_nodes)
         if structmap_trainer is not None and structmap_trainer.params.alpha != 0.0:
             d_targets = structmap_trainer.backward(sm_cache)

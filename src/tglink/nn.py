@@ -10,6 +10,7 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,13 +20,13 @@ from .errors import DivergenceError, ShapeError, ValidationError
 
 
 class Tensor:
-    """A dense float64 array with an optional same-shape gradient buffer."""
+    """A dense float64 array and its same-shape gradient buffer."""
 
     __slots__ = ("values", "grad")
 
     def __init__(self, values):
         self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros_like(self.values)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -35,15 +36,49 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.values)
-
     def accumulate(self, g: np.ndarray) -> None:
         if g.shape != self.values.shape:
             raise ShapeError(f"gradient shape {g.shape} != value shape {self.values.shape}")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
         self.grad += g
+
+
+class ParamSet:
+    """Named tensors whose values and gradients are views into two flat buffers.
+
+    A parameter owner (the model, the structural map) packs its layers'
+    tensors into one set, so zeroing gradients, an optimizer step, a snapshot
+    or a copy is one array operation on `flat_values` or `flat_grad`. Writes
+    go through the buffers and never rebind a view, so the layers always read
+    the current values.
+    """
+
+    def __init__(self, named: Sequence[tuple[str, Tensor]]):
+        self._named = list(named)
+        self.flat_values = np.concatenate([p.values.reshape(-1) for _, p in self._named])
+        self.flat_grad = np.zeros_like(self.flat_values)
+        start = 0
+        for _, p in self._named:
+            stop = start + p.size
+            p.values = self.flat_values[start:stop].reshape(p.shape)
+            p.grad = self.flat_grad[start:stop].reshape(p.shape)
+            start = stop
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return list(self._named)
+
+    def state_dict(self) -> dict:
+        return {name: p.values.tolist() for name, p in self._named}
+
+    def load_state_dict(self, state: dict) -> None:
+        for name, p in self._named:
+            p.values[...] = np.array(state[name], dtype=np.float64).reshape(p.shape)
+
+    def copy(self):
+        """An independent copy of the owner, packed into buffers of its own."""
+        clone = deepcopy(self)
+        # deepcopy gives each view its own array; re-pack them.
+        ParamSet.__init__(clone, clone._named)
+        return clone
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -84,9 +119,6 @@ class MlpSpec:
 
     def bias_count(self) -> int:
         return sum(self.layer_dims[1:])
-
-    def param_count(self) -> int:
-        return self.weight_count() + self.bias_count()
 
 
 class Mlp:
@@ -375,49 +407,45 @@ class AttentionReadout:
 
 
 class Adam:
-    """Standard Adam over a fixed parameter list; raises on non-finite grads."""
+    """Standard Adam over parameter sets, one fused update per set; raises on non-finite grads."""
 
     def __init__(
         self,
-        params: Sequence[tuple[str, Tensor]],
+        sets: Sequence[ParamSet],
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        self.params = list(params)
+        self.sets = list(sets)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.values) for _, p in self.params]
-        self.v = [np.zeros_like(p.values) for _, p in self.params]
+        self.m = [np.zeros_like(s.flat_values) for s in self.sets]
+        self.v = [np.zeros_like(s.flat_values) for s in self.sets]
 
     @property
     def steps(self) -> int:
         return self.t
 
     def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
+        for s in self.sets:
+            s.flat_grad.fill(0.0)
 
     def step(self) -> None:
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
+        for s in self.sets:
+            if not np.isfinite(s.flat_grad).all():
+                name = next(n for n, p in s.parameters() if not np.isfinite(p.grad).all())
                 raise DivergenceError(f"non-finite gradient in {name}")
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for i, (_, p) in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.values)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / correct1
-            v_hat = self.v[i] / correct2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for s, m, v in zip(self.sets, self.m, self.v):
+            g = s.flat_grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            s.flat_values -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)

@@ -19,13 +19,13 @@ import numpy as np
 
 from .errors import ContractError, ValidationError
 from .features import FeatureStandardizer, WindowFeatures
-from .nn import Mlp, MlpSpec, Tensor
+from .nn import Mlp, MlpSpec, ParamSet
 
 log = logging.getLogger(__name__)
 
 
-class StructMapParams:
-    """Three affine layers (two hidden) from feature space to memory space."""
+class StructMapParams(ParamSet):
+    """Three affine layers (two hidden) from feature space to memory space, in one parameter set."""
 
     def __init__(
         self,
@@ -43,6 +43,7 @@ class StructMapParams:
         self.mlp = Mlp(
             MlpSpec(feature_dim, (hidden, hidden), memory_dim), rng, name="structmap"
         )
+        super().__init__(self.mlp.parameters())
 
     @property
     def feature_dim(self) -> int:
@@ -55,23 +56,6 @@ class StructMapParams:
     @property
     def hidden(self) -> int:
         return self.mlp.spec.hidden_dims[0]
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return self.mlp.parameters()
-
-    def state_dict(self) -> dict:
-        return {name: p.values.tolist() for name, p in self.parameters()}
-
-    def load_state_dict(self, state: dict) -> None:
-        for name, p in self.parameters():
-            p.values = np.array(state[name], dtype=np.float64).reshape(p.values.shape)
-
-    def copy(self) -> "StructMapParams":
-        clone = StructMapParams(
-            self.feature_dim, self.memory_dim, self.hidden, self.alpha, np.random.default_rng(0)
-        )
-        clone.load_state_dict(self.state_dict())
-        return clone
 
     def forward(self, features_std: np.ndarray) -> tuple[np.ndarray, list]:
         return self.mlp.forward(np.atleast_2d(features_std))
@@ -143,10 +127,6 @@ class StructMapTrainer:
 
     def backward(self, loss_cache: tuple) -> np.ndarray:
         return structmap_loss_backward(self.params, loss_cache, scale=self.params.alpha)
-
-    def zero_grad(self) -> None:
-        for _, p in self.params.parameters():
-            p.zero_grad()
 
 
 def fit_window_standardizer(features: WindowFeatures, batches) -> tuple[FeatureStandardizer, BatchRows]:

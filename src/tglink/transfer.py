@@ -158,7 +158,7 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """Everything needed to deploy: parameters, feature scaler, final state."""
+    """Everything needed to deploy: parameters, feature scaler, final memory."""
 
     model: TgnModel
     structmap: StructMapParams | None
@@ -166,7 +166,6 @@ class TrainedModel:
     config: ModelConfig
     train_span: float
     store: MemoryStore
-    cache: NeighborCache
     epoch_history: list[dict] = field(default_factory=list)
     seed: int = 0
     config_hash: str = ""
@@ -352,8 +351,7 @@ def fit(
         )
         sm_trainer = StructMapTrainer(structmap, rows, coupled=model_config.coupled_structmap)
 
-    params = model.parameters() + (structmap.parameters() if structmap else [])
-    optimizer = Adam(params, lr=train_config.lr)
+    optimizer = Adam([model] + ([structmap] if structmap else []), lr=train_config.lr)
     train_rng = child_rng(seed, "train-negatives")
     val_negs = None
     if val_stream is not None and len(val_stream) > 0:
@@ -363,7 +361,7 @@ def fit(
     best_val = np.inf
     best_snapshot = None
     bad_epochs = 0
-    final_state = _fresh_state(model, train_stream.num_nodes)
+    final_store = MemoryStore(train_stream.num_nodes, model_config.d_m)
     for epoch in range(train_config.epochs):
         state = _fresh_state(model, train_stream.num_nodes)
         stats = train_epoch(
@@ -377,7 +375,7 @@ def fit(
             sm_trainer,
         )
         model.flush_pending(state)
-        final_state = state
+        final_store = state.store
         entry = {
             "epoch": epoch,
             "mean_total_loss": stats.mean_total,
@@ -403,10 +401,8 @@ def fit(
             if rec.mean_eval_loss < best_val - 1e-12:
                 best_val = rec.mean_eval_loss
                 best_snapshot = (
-                    model.state_dict(),
-                    structmap.state_dict() if structmap else None,
+                    [s.flat_values.copy() for s in optimizer.sets],
                     state.store.snapshot(),
-                    state.cache.copy(),
                 )
                 bad_epochs = 0
             else:
@@ -416,11 +412,9 @@ def fit(
             break
 
     if best_snapshot is not None:
-        model.load_state_dict(best_snapshot[0])
-        if structmap is not None and best_snapshot[1] is not None:
-            structmap.load_state_dict(best_snapshot[1])
-        final_state.store.restore(best_snapshot[2])
-        final_state.cache = best_snapshot[3]
+        for s, values in zip(optimizer.sets, best_snapshot[0]):
+            s.flat_values[:] = values
+        final_store.restore(best_snapshot[1])
 
     return TrainedModel(
         model=model,
@@ -428,8 +422,7 @@ def fit(
         standardizer=standardizer,
         config=model_config,
         train_span=span,
-        store=final_state.store,
-        cache=final_state.cache,
+        store=final_store,
         epoch_history=history,
         seed=seed,
         config_hash=config_hash,
@@ -473,7 +466,7 @@ def run_transfer(
             record.finetune_cutoff_time = float(test_stream.timestamps[n_ft - 1])
             record.finetune_event_range = (0, n_ft)
             if scenario.finetune_parameters:
-                optimizer = Adam(model.parameters(), lr=3e-4 if finetune_lr is None else finetune_lr)
+                optimizer = Adam([model], lr=3e-4 if finetune_lr is None else finetune_lr)
                 ft_rng = child_rng(seed, "finetune-negatives")
                 stats = train_batches(model, optimizer, state, ft_batches, 1, ft_rng)
                 record.finetune_batch_loss = stats.tlp_losses

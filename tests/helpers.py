@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -10,7 +11,7 @@ import numpy as np
 from tglink.errors import ValidationError
 from tglink.events import EventStream, GeneratorSpec
 from tglink.model import MemoryStore, ModelConfig, NeighborCache, RunState, TgnModel
-from tglink.nn import Tensor
+from tglink.nn import Adam, ParamSet, Tensor
 from tglink.transfer import ExperimentConfig, TrainConfig
 
 # The desk-scale transfer benchmark: two planted communities of 50 nodes,
@@ -81,10 +82,37 @@ def fresh_state(model: TgnModel, num_nodes: int) -> RunState:
 def copy_state(model: TgnModel, state: RunState) -> RunState:
     clone = RunState(
         MemoryStore.from_dict(state.store.to_dict()),
-        state.cache.copy(),
+        copy.deepcopy(state.cache),
         state.pending,
     )
     return clone
+
+
+def assert_views(owner: ParamSet) -> None:
+    """Every tensor of `owner` still reads and writes the owner's two buffers."""
+    for name, p in owner.parameters():
+        assert np.shares_memory(p.values, owner.flat_values), name
+        assert np.shares_memory(p.grad, owner.flat_grad), name
+
+
+def assert_step_reaches_layers(owner: ParamSet, layers) -> None:
+    """One Adam step with all-one gradients lowers every value the layers read.
+
+    The tensors are fetched from the layers themselves, not from the owner's
+    list, so a tensor that was rebound away from the buffers shows up as
+    unchanged.
+    """
+    tensors = [p for layer in layers for _, p in layer.parameters()]
+    before = [p.values.copy() for p in tensors]
+    opt = Adam([owner], lr=0.01)
+    owner.flat_grad.fill(1.0)
+    opt.step()
+    for p, old in zip(tensors, before):
+        assert np.all(p.values < old)
+
+
+def model_layers(model: TgnModel) -> tuple:
+    return (model.time_enc, model.message_mlp, model.updater, model.attention, model.decoder)
 
 
 @dataclass
@@ -125,8 +153,6 @@ def grad_check(
     checked = 0
     failures: list[GradCheckFailure] = []
     for name, p in params:
-        if p.grad is None:
-            raise ValidationError(f"parameter {name} has no gradient to check")
         flat = p.values.reshape(-1)
         gflat = p.grad.reshape(-1)
         for i in range(flat.size):

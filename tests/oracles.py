@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from tglink.errors import ValidationError
+from tglink.errors import DivergenceError, ValidationError
 from tglink.events import EventBatch
 from tglink.graphs import Graph
 
@@ -384,7 +384,7 @@ class DequeNeighborCache:
     """Per-node ring buffer of the k most recent (neighbor, time, features).
 
     The list-of-deques `NeighborCache` that the ring-array one replaced,
-    kept as the bitwise reference for its gather, insert order and JSON.
+    kept as the bitwise reference for its gather and insert order.
     """
 
     def __init__(self, num_nodes: int, k: int, d_e: int):
@@ -407,20 +407,35 @@ class DequeNeighborCache:
         """Most recent first."""
         return list(reversed(self._buffers[node]))
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "d_e": self.d_e,
-            "buffers": [
-                [[int(n), float(t), np.asarray(f).tolist()] for n, t, f in buf]
-                for buf in self._buffers
-            ],
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DequeNeighborCache":
-        cache = cls(len(d["buffers"]), int(d["k"]), int(d["d_e"]))
-        for i, buf in enumerate(d["buffers"]):
-            for n, t, f in buf:
-                cache._buffers[i].append((int(n), float(t), np.array(f, dtype=np.float64)))
-        return cache
+class PerTensorAdam:
+    """Adam over a (name, Tensor) list, one tensor at a time.
+
+    The optimizer `tglink.nn.Adam` replaced with one fused update per
+    parameter set, kept as the bitwise reference for it.
+    """
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p.values) for _, p in self.params]
+        self.v = [np.zeros_like(p.values) for _, p in self.params]
+
+    def step(self) -> None:
+        for name, p in self.params:
+            if not np.all(np.isfinite(p.grad)):
+                raise DivergenceError(f"non-finite gradient in {name}")
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for i, (_, p) in enumerate(self.params):
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / correct1
+            v_hat = self.v[i] / correct2
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -76,7 +76,7 @@ class TestCriterion1Gradients:
 
     def _check(self, params, loss_and_grad, loss_only, tol=1e-4):
         for _, p in params:
-            p.zero_grad()
+            p.grad.fill(0.0)
         loss_and_grad()
         rep = grad_check(loss_only, params, eps=1e-5, tolerance=tol)
         assert rep.passed(tol), rep.failures[:3]
@@ -206,7 +206,7 @@ class TestCriterion1Gradients:
         _, sm_cache = structmap_loss(sm, feats, targets)
         params = model.parameters() + sm.parameters()
         for _, p in params:
-            p.zero_grad()
+            p.grad.fill(0.0)
         dmem = backward_batch(model, fwd, 5)
         structmap_loss_backward(sm, sm_cache, scale=sm.alpha)
         model.flush_backward(flush_rec, dmem)
@@ -443,14 +443,14 @@ class TestCriterion7ScenarioDegeneracies:
             stream = random_stream(rng, 8, 60, span=20.0)
             model = tiny_model(seed=12, span=20.0)
             trainer = None
-            params = model.parameters()
+            sets = [model]
             if with_sm:
                 features = WindowFeatures(stream, 0.25, 20.0, model.config.d_p)
                 _, rows = fit_window_standardizer(features, make_batches(stream, 15))
                 sm = StructMapParams(model.config.d_s, model.config.d_m, 5, 0.0, np.random.default_rng(99))
                 trainer = StructMapTrainer(sm, rows)
-                params = params + sm.parameters()
-            opt = Adam(params, lr=1e-2)
+                sets.append(sm)
+            opt = Adam(sets, lr=1e-2)
             state = fresh_state(model, 8)
             train_epoch(stream, state, model, opt, 15, 1, np.random.default_rng(7), trainer)
             return model.state_dict()

@@ -22,26 +22,33 @@ def test_round_trip_is_byte_stable_and_creates_directories(tmp_path):
     second = tmp_path / "ckpt.json"
     save_checkpoint(loaded, second)
     assert first.read_bytes() == second.read_bytes()
-    assert json.dumps(loaded.cache.to_dict()) == json.dumps(trained.cache.to_dict())
+    for name in ("memory", "last_update"):
+        assert getattr(loaded.store, name).tobytes() == getattr(trained.store, name).tobytes()
     assert sorted(p.name for p in first.parent.iterdir()) == ["ckpt.json"]
 
 
 def test_version_one_loads_without_its_optimizer_and_rng_state(tmp_path):
     stream = random_stream(np.random.default_rng(1), 8, 60, span=20.0)
     trained = fit(stream, None, TINY_CONFIG, TrainConfig(batch_size=10, epochs=1), seed=2)
-    current = tmp_path / "v3.json"
+    current = tmp_path / "v4.json"
     save_checkpoint(trained, current)
     payload = json.loads(current.read_text())
-    assert payload["version"] == 3
+    assert payload["version"] == 4
     assert "optimizer_state" not in payload and "rng_state" not in payload
-    # A version-1 file carried two more keys that nothing reads.
-    payload.update(version=1, optimizer_state={"t": 6, "m": [], "v": []}, rng_state={"state": 1})
-    old = tmp_path / "v1.json"
+    assert "neighbor_cache" not in payload
+    # Versions 1-3 carried the training neighbor cache, and version 1 two more
+    # keys; nothing reads them.
+    payload.update(version=3, neighbor_cache={"k": 1, "d_e": 0, "buffers": [[[1, 0.5, []]]]})
+    old = tmp_path / "v3.json"
     old.write_text(json.dumps(payload, sort_keys=True))
     resaved = tmp_path / "resaved.json"
     save_checkpoint(load_checkpoint(old), resaved)
     assert resaved.read_bytes() == current.read_bytes()
-    payload["version"] = 4
+    payload.update(version=1, optimizer_state={"t": 6, "m": [], "v": []}, rng_state={"state": 1})
+    old.write_text(json.dumps(payload, sort_keys=True))
+    save_checkpoint(load_checkpoint(old), resaved)
+    assert resaved.read_bytes() == current.read_bytes()
+    payload["version"] = 5
     old.write_text(json.dumps(payload))
     with pytest.raises(ValidationError):
         load_checkpoint(old)

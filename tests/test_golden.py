@@ -34,7 +34,7 @@ from tglink.rngs import child_rng
 from tglink.splitting import louvain, make_transfer_split
 from tglink.transfer import fit
 
-from helpers import BENCHMARK, BENCHMARK_SEEDS
+from helpers import BENCHMARK, BENCHMARK_SEEDS, assert_step_reaches_layers, assert_views, model_layers
 
 PINS = {
     ("2.4.6", "scipy-openblas"): {
@@ -143,8 +143,8 @@ def fit_digest() -> str:
     )
 
 
-def fit_with_validation_digest() -> str:
-    """History and trained state of a desk `fit` that stops early and restores its best epoch.
+def fit_with_validation():
+    """A desk `fit` that stops early and restores its best epoch.
 
     Three communities give a validation stream; with `patience=1` seed 1
     stops after four of five epochs and restores epoch 1.
@@ -163,6 +163,11 @@ def fit_with_validation_digest() -> str:
         eval_negatives=BENCHMARK.eval_negatives,
         ks=BENCHMARK.hits_ks,
     )
+    return trained
+
+
+def fit_with_validation_digest(trained) -> str:
+    """History and trained state of `fit_with_validation`."""
     return _sha(
         {
             "epoch_history": trained.epoch_history,
@@ -191,6 +196,13 @@ def pins() -> dict[str, str]:
     return PINS[key]
 
 
+@pytest.fixture(scope="module")
+def validated_fit():
+    """The early-stopping `fit` and its digest, taken before any test steps it."""
+    trained = fit_with_validation()
+    return trained, fit_with_validation_digest(trained)
+
+
 def test_window_features_pinned(pins):
     assert window_features_digest() == pins["window_features"]
 
@@ -207,8 +219,17 @@ def test_fit_pinned(pins):
     assert fit_digest() == pins["fit"]
 
 
-def test_fit_with_validation_pinned(pins):
-    assert fit_with_validation_digest() == pins["fit_with_validation"]
+def test_fit_with_validation_pinned(pins, validated_fit):
+    assert validated_fit[1] == pins["fit_with_validation"]
+
+
+def test_best_epoch_restore_keeps_the_views(validated_fit):
+    trained = validated_fit[0]
+    assert len(trained.epoch_history) == 4  # stopped early, so the restore ran
+    assert_views(trained.model)
+    assert_views(trained.structmap)
+    assert_step_reaches_layers(trained.model, model_layers(trained.model))
+    assert_step_reaches_layers(trained.structmap, (trained.structmap.mlp,))
 
 
 def test_benchmark_seed_one_pinned(pins, benchmark_sweep):
@@ -228,7 +249,7 @@ if __name__ == "__main__":
         "generate_synthetic": generator_digest(),
         "louvain": louvain_digest(),
         "fit": fit_digest(),
-        "fit_with_validation": fit_with_validation_digest(),
+        "fit_with_validation": fit_with_validation_digest(fit_with_validation()),
     }
     digests.update(sweep_digests(run_experiment(BENCHMARK, BENCHMARK_SEEDS[0])))
     print(f"{platform()!r}: {json.dumps(digests, indent=4)},")

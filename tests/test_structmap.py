@@ -73,8 +73,6 @@ class TestStructMapForward:
             sm = StructMapParams(D_S, 4, 5, 1.0, rng)
             feats = rng.normal(size=(3, D_S))
             targets = rng.normal(size=(3, 4))
-            for _, p in sm.parameters():
-                p.zero_grad()
             _, cache = structmap_loss(sm, feats, targets)
             structmap_loss_backward(sm, cache, scale=1.0)
 
@@ -125,10 +123,6 @@ class TestDetachedTargets:
         sm = make_params(seed=5)
         feats = np.random.default_rng(2).normal(size=(3, D_S))
         targets = np.random.default_rng(3).normal(size=(3, 4))
-        for _, p in model.parameters():
-            p.zero_grad()
-        for _, p in sm.parameters():
-            p.zero_grad()
         _, cache = structmap_loss(sm, feats, targets)
         structmap_loss_backward(sm, cache, scale=1.0)
         for name, p in model.parameters():
@@ -142,14 +136,14 @@ class TestAlphaZero:
         stream = random_stream(rng, 8, 60, span=20.0)
         model = tiny_model(seed=12, span=20.0)
         trainer = None
-        params = model.parameters()
+        sets = [model]
         if with_structmap:
             features = WindowFeatures(stream, 0.25, 20.0, model.config.d_p)
             _, rows = fit_window_standardizer(features, make_batches(stream, 15))
             sm = StructMapParams(model.config.d_s, model.config.d_m, 5, alpha, np.random.default_rng(99))
             trainer = StructMapTrainer(sm, rows, coupled)
-            params = params + sm.parameters()
-        opt = Adam(params, lr=1e-2)
+            sets.append(sm)
+        opt = Adam(sets, lr=1e-2)
         state = fresh_state(model, 8)
         stats = train_epoch(stream, state, model, opt, 15, 1, np.random.default_rng(7), trainer)
         return model.state_dict(), stats
@@ -243,7 +237,7 @@ class TestColdStart:
         scaler, rows = fit_window_standardizer(features, make_batches(stream, 25))
         sm = StructMapParams(model.config.d_s, model.config.d_m, 8, 1.0, np.random.default_rng(5))
         trainer = StructMapTrainer(sm, rows)
-        opt = Adam(model.parameters() + sm.parameters(), lr=5e-3)
+        opt = Adam([model, sm], lr=5e-3)
         for _ in range(15):
             state = fresh_state(model, 10)
             train_epoch(stream, state, model, opt, 25, 1, np.random.default_rng(3), trainer)

@@ -1,6 +1,10 @@
 """Transfer scenarios, ranking metrics, and seed sweeps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,6 +381,48 @@ class TestFit:
         a, b = run(), run()
         for k in a:
             assert np.array_equal(np.array(a[k]), np.array(b[k])), k
+
+
+# A seeded desk `fit` (one epoch) and its no_warm_start record, as a digest.
+DESK_RECORD_DIGEST = """
+import dataclasses, hashlib, json
+from helpers import BENCHMARK
+from tglink.events import generate_synthetic
+from tglink.graphs import aggregate_static
+from tglink.rngs import child_rng
+from tglink.splitting import louvain, make_transfer_split
+from tglink.transfer import TransferScenario, fit, run_transfer
+
+stream = generate_synthetic(BENCHMARK.generator, child_rng(1, "generate"))
+assignment = louvain(aggregate_static(stream), child_rng(1, "louvain"))
+split = make_transfer_split(stream, assignment, BENCHMARK.balance_tolerance, allow_two_way=True)
+train = dataclasses.replace(BENCHMARK.train, epochs=1)
+trained = fit(split.train, split.val, BENCHMARK.model, train, 1)
+scenario = TransferScenario("no_warm_start")
+record = run_transfer(trained, split.test, scenario, 1, batch_size=train.batch_size).to_dict()
+record.pop("timing")
+print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest())
+"""
+
+
+def test_records_do_not_depend_on_blas_threads():
+    """One BLAS thread and the library's default give the same record bytes."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    digests = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = subprocess.run(
+            [sys.executable, "-c", DESK_RECORD_DIGEST],
+            env={**env, **threads},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def tiny_experiment(num_events=900, epochs=2) -> ExperimentConfig:
